@@ -4,7 +4,8 @@
 id   name                    enforces
 ==== ======================= =====================================================
 R001 determinism             every random draw / clock read goes through a
-                             sanctioned seam (named RNG streams, injectable clock)
+                             sanctioned seam (named RNG streams, injectable clock);
+                             no builtin ``hash()`` of non-int values
 R002 fingerprint-drift       fingerprinted field sets match the checked-in
                              manifest; changes require a ``CACHE_VERSION`` bump
 R003 frozen-spec             ``*Spec`` dataclasses are ``frozen=True`` with no
@@ -101,14 +102,20 @@ class DeterminismRule(Rule):
     sanctioned seams themselves (``sim/rng.py``, the devtools, the CLI edge);
     single-call seams elsewhere (the grid's lease wall clock) carry an inline
     ``# lint: allow[R001]`` pragma with their justification.
+
+    Builtin ``hash()`` counts as ambient entropy too: string and bytes
+    hashes are salted per process (``PYTHONHASHSEED``), so any value derived
+    from them differs between workers.  A call is allowed only when its
+    argument is an int literal or a parameter annotated ``int``, or inside a
+    ``__hash__`` method, whose value never leaves the process.
     """
 
     rule_id = "R001"
     name = "determinism"
     description = (
         "no module-level RNG (random.*, np.random.*), wall clocks "
-        "(time.time, datetime.now), or random tokens (os.urandom, uuid.uuid4) "
-        "outside sanctioned seams"
+        "(time.time, datetime.now), random tokens (os.urandom, uuid.uuid4), "
+        "or builtin hash() of non-int values outside sanctioned seams"
     )
 
     #: Exact dotted call paths that read wall clocks or entropy.
@@ -140,6 +147,10 @@ class DeterminismRule(Rule):
             "derive identifiers from seeded streams or cell fingerprints; "
             "if true uniqueness is required, isolate one seam and pragma it"
         ),
+        "hash": (
+            "derive a stable integer instead: "
+            "repro.sim.rng.derive_stream_seed(seed, name)"
+        ),
     }
 
     def __init__(self, allowed_paths: Sequence[str] = ("sim/rng.py", "devtools/", "cli.py")):
@@ -149,6 +160,8 @@ class DeterminismRule(Rule):
         if path_matches(module.rel_path, self.allowed_paths):
             return
         aliases = _import_aliases(module.tree)
+        if "hash" not in aliases:
+            yield from self._check_hash_calls(module, module.tree, frozenset())
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -170,6 +183,43 @@ class DeterminismRule(Rule):
             yield self.finding(
                 module, node, f"{noun} {path}()", hint=self.HINTS[kind]
             )
+
+    def _check_hash_calls(
+        self, module: LintModule, node: ast.AST, int_params: frozenset
+    ) -> Iterator[Finding]:
+        """Builtin ``hash()`` calls whose argument is not provably an int."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == "__hash__":
+                    continue
+                arguments = child.args
+                params = [*arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs]
+                yield from self._check_hash_calls(module, child, frozenset(
+                    param.arg for param in params
+                    if isinstance(param.annotation, ast.Name) and param.annotation.id == "int"
+                ))
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "hash"
+                and not (len(child.args) == 1 and _is_int_expr(child.args[0], int_params))
+            ):
+                yield self.finding(
+                    module, child,
+                    "builtin hash() of a non-int value is salted per process (PYTHONHASHSEED)",
+                    hint=self.HINTS["hash"],
+                )
+            yield from self._check_hash_calls(module, child, int_params)
+
+
+def _is_int_expr(node: ast.expr, int_params: frozenset) -> bool:
+    """Whether ``node`` is an int literal or an ``int``-annotated parameter."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Name):
+        return node.id in int_params
+    return isinstance(node, ast.Constant) and type(node.value) is int
 
 
 # ------------------------------------------------------------------------ R002

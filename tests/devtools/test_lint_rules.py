@@ -42,6 +42,26 @@ class TestR001Determinism:
     def test_clean_on_sanctioned_and_lookalike_code(self):
         assert lint_fixture("r001_good.py", DeterminismRule()) == []
 
+    def test_flags_builtin_hash_of_non_int_values(self):
+        findings = lint_fixture("r001_hash_bad.py", DeterminismRule())
+        assert [f.line for f in findings] == [5, 9, 13, 18]
+        assert all("PYTHONHASHSEED" in f.message for f in findings)
+        assert all("derive_stream_seed" in f.hint for f in findings)
+
+    def test_clean_on_int_and_protocol_hashes(self):
+        assert lint_fixture("r001_hash_good.py", DeterminismRule()) == []
+
+    def test_imported_hash_is_not_the_builtin(self, tmp_path):
+        source = tmp_path / "custom.py"
+        source.write_text("from hashing import hash\nvalue = hash('cell')\n")
+        assert run_lint([source], [DeterminismRule()], root=tmp_path) == []
+
+    def test_real_source_tree_has_no_salted_hashes(self):
+        root = Path(__file__).resolve().parents[2] / "src"
+        modules = sorted((root / "repro").rglob("*.py"))
+        assert modules
+        assert run_lint(modules, [DeterminismRule()], root=root) == []
+
     def test_allowlisted_paths_are_skipped_entirely(self, tmp_path):
         nested = tmp_path / "sim"
         nested.mkdir()
