@@ -120,21 +120,23 @@ class NoiseModel:
             useful_between = iterations_between * expected_cycles
             detour_magnitude = suspension * useful_between / (1.0 - suspension)
 
-        iteration = 0
-        for _ in range(events_to_collect):
-            gap = max(1, int(stream.normal(iterations_between, iterations_between * 0.05)))
-            iteration += gap
-            observed = expected_cycles + max(
-                0.0, stream.normal(detour_magnitude, detour_magnitude * 0.1)
-            )
-            trace.events.append(
-                DetourEvent(
-                    iteration=iteration,
-                    expected_cycles=expected_cycles,
-                    observed_cycles=observed,
-                )
-            )
-        trace.total_iterations = iteration
+        # Each event draws its gap, then its detour: one draw broadcasting the
+        # (gap, detour) parameters over an (events, 2) array, filled in row
+        # order, consumes the stream in exactly that order.
+        draws = stream.normal(
+            (iterations_between, detour_magnitude),
+            (iterations_between * 0.05, detour_magnitude * 0.1),
+            size=(events_to_collect, 2),
+        )
+        gaps = np.maximum(draws[:, 0].astype(np.int64), 1)
+        detours = draws[:, 1]
+        observed = expected_cycles + np.where(detours > 0.0, detours, 0.0)
+        iterations = np.cumsum(gaps).tolist()
+        trace.events = [
+            DetourEvent(iteration, expected_cycles, cycles)
+            for iteration, cycles in zip(iterations, observed.tolist())
+        ]
+        trace.total_iterations = iterations[-1] if iterations else 0
         return trace
 
     def suspension_curve(

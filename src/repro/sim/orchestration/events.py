@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
 
 
@@ -35,8 +38,89 @@ class OrchestrationError(Exception):
     """Raised when a workflow cannot be executed by the orchestrator."""
 
 
+#: Encodes what the structural sizer does not walk itself, exactly as
+#: ``json.dumps(value, default=str)`` would.
+_ENCODER = json.JSONEncoder(default=str)
+
+#: ASCII bytes JSON emits verbatim: printable, minus the quote and backslash.
+_VERBATIM_ASCII = bytes(byte for byte in range(0x20, 0x7F) if byte not in b'"\\')
+
+#: Nesting depth past which the sizer hands the payload to ``json.dumps``
+#: (which also detects circular payloads).
+_MAX_DEPTH = 64
+
+
+class _Unsized(Exception):
+    """The payload has a shape only ``json.dumps`` itself sizes exactly."""
+
+
+def _verbatim(text: str) -> bool:
+    """Whether JSON encodes ``text`` as itself between two quotes."""
+    return text.isascii() and not text.encode("ascii").translate(None, _VERBATIM_ASCII)
+
+
+def _json_length(value: object, depth: int) -> int:
+    """``len(json.dumps(value, default=str))`` without building the JSON text."""
+    kind = type(value)
+    if kind is str:
+        return len(value) + 2 if _verbatim(value) else len(encode_basestring_ascii(value))
+    if kind is int:
+        return len(repr(value))
+    if kind is dict:
+        count = len(value)
+        if not count:
+            return 2
+        if depth >= _MAX_DEPTH:
+            raise _Unsized
+        try:
+            keys = "".join(value)
+        except TypeError:
+            raise _Unsized from None  # a key that is not a str
+        if _verbatim(keys):
+            # "{" "}", two quotes and ": " per key, ", " between items.
+            total = len(keys) + 6 * count
+        else:
+            total = sum(len(encode_basestring_ascii(key)) for key in value) + 4 * count
+        return total + sum(map(_json_length, value.values(), repeat(depth + 1, count)))
+    if kind is list or kind is tuple:
+        count = len(value)
+        if not count:
+            return 2
+        if type(value[0]) is str:
+            try:
+                joined = "".join(value)
+            except TypeError:
+                pass
+            else:
+                # All items verbatim: their text, two quotes and ", " each.
+                if _verbatim(joined):
+                    return len(joined) + 4 * count
+        if depth >= _MAX_DEPTH:
+            raise _Unsized
+        # "[" "]" and ", " between items.
+        return 2 * count + sum(map(_json_length, value, repeat(depth + 1, count)))
+    if kind is float:
+        if math.isfinite(value):
+            return len(repr(value))
+        return 8 if value > 0 else 9 if value < 0 else 3  # Infinity, -Infinity, NaN
+    if kind is bool:
+        return 4 if value else 5
+    if value is None:
+        return 4
+    return len(_ENCODER.encode(value))
+
+
 def payload_size_bytes(payload: object) -> int:
-    """Approximate the wire size of a payload as its JSON encoding length."""
+    """Approximate the wire size of a payload as its JSON encoding length.
+
+    Exactly ``len(json.dumps(payload, default=str))``, computed from the
+    payload's structure for the common shapes (strings, numbers, dicts with
+    string keys, lists, tuples) without building the JSON text.
+    """
+    try:
+        return _json_length(payload, 0)
+    except (_Unsized, TypeError, ValueError, RecursionError):
+        pass
     try:
         return len(json.dumps(payload, default=str))
     except (TypeError, ValueError):

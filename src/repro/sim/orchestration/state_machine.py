@@ -175,9 +175,9 @@ class StateMachineExecutor:
         # Respect the platform's parallelism limit by running the items in waves.
         limit = profile.max_parallelism
         for wave_start in range(0, len(items), limit):
-            wave = list(enumerate(items))[wave_start : wave_start + limit]
+            wave = items[wave_start : wave_start + limit]
             processes = []
-            for index, item in wave:
+            for index, item in enumerate(wave, start=wave_start):
                 stats.state_transitions += profile.transitions_per_map_item * len(sub_tasks)
                 processes.append(
                     (index, env.process(self._run_map_item(

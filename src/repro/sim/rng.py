@@ -33,6 +33,41 @@ def derive_stream_seed(seed: int, name: str) -> int:
     return _derived_seed(int(seed), name)
 
 
+#: Bound of the PCG64 seed-state memo.  Most repeats are short-range: the
+#: seed-0 ``figures --all`` plan creates 39.7k streams over 26.7k distinct
+#: derived seeds, and 2048 entries catch 10.7k of its 13.0k repeats.  The
+#: rest recur ~10k streams apart and would cost ~3 MiB of resident memory.
+_SEED_STATE_MEMO_SIZE = 2048
+
+
+@lru_cache(maxsize=_SEED_STATE_MEMO_SIZE)
+def _pcg64_seed_state(derived_seed: int) -> bytes:
+    """The four 64-bit words ``SeedSequence`` feeds PCG64 for ``derived_seed``."""
+    return np.random.SeedSequence(derived_seed).generate_state(4, np.uint64).tobytes()
+
+
+@lru_cache(maxsize=1)
+def _memoized_seed_type() -> type:
+    # Built on first use: importing ``numpy.random.bit_generator`` at module
+    # scope would load ``numpy.random`` into processes that never simulate.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class _MemoizedSeedState(ISeedSequence):
+        """Hands PCG64 a memoized ``SeedSequence`` state without re-hashing."""
+
+        __slots__ = ("_derived_seed",)
+
+        def __init__(self, derived_seed: int) -> None:
+            self._derived_seed = derived_seed
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and dtype is np.uint64:  # PCG64's request
+                return np.frombuffer(_pcg64_seed_state(self._derived_seed), np.uint64)
+            return np.random.SeedSequence(self._derived_seed).generate_state(n_words, dtype)
+
+    return _MemoizedSeedState
+
+
 def named_stream(seed: int, name: str) -> np.random.Generator:
     """A fresh, deterministically seeded generator for one named stream.
 
@@ -40,8 +75,13 @@ def named_stream(seed: int, name: str) -> np.random.Generator:
     holds a seed but no stream family -- benchmark dataset synthesis, for
     example.  Same derivation, so ``named_stream(s, n)`` and
     ``RandomStreams(s).stream(n)`` produce identical draws.
+
+    The draws equal ``np.random.default_rng(derive_stream_seed(seed, name))``;
+    the ``SeedSequence`` hashing behind that seeding is memoized per derived
+    seed, so a recurring stream only pays for the generator itself.
     """
-    return np.random.default_rng(derive_stream_seed(seed, name))
+    seed_state = _memoized_seed_type()(derive_stream_seed(seed, name))
+    return np.random.Generator(np.random.PCG64(seed_state))
 
 
 class RandomStreams:
