@@ -765,11 +765,9 @@ def _load_cached_document(cache_dir: Optional[Path], job: CampaignJob) -> Option
         # factory behind it; editing that factory must never serve stale
         # cached numbers, so such cells bypass the cache entirely.
         return None
-    path = _cache_path(cache_dir, job)
-    if not path.exists():
-        return None
     try:
-        document = json.loads(path.read_text())
+        # A missing file is a FileNotFoundError, so no separate stat.
+        document = json.loads(_cache_path(cache_dir, job).read_text())
     except (OSError, json.JSONDecodeError):
         return None
     if document.get("version") != CACHE_VERSION:

@@ -16,12 +16,15 @@ real cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .resources import CPUModel
 from .rng import RandomStreams
+
+# Cycles one undisturbed selfish-detour loop iteration takes.
+_EXPECTED_CYCLES = 100.0
 
 
 @dataclass(slots=True)
@@ -53,13 +56,21 @@ class DetourTrace:
         The estimate divides the cycles lost to detours by the total cycles the
         loop would have needed without interference plus the lost cycles.
         """
-        if self.total_iterations == 0:
-            return 0.0
-        useful = self.total_iterations * self.expected_cycles_per_iteration
-        lost = sum(event.lost_cycles for event in self.events)
-        if useful + lost == 0:
-            return 0.0
-        return lost / (useful + lost)
+        return _suspension_share(
+            self.total_iterations,
+            self.expected_cycles_per_iteration,
+            sum(event.lost_cycles for event in self.events),
+        )
+
+
+def _suspension_share(total_iterations: int, expected_cycles: float, lost: float) -> float:
+    """``lost / (useful + lost)`` cycles, zero for a run without iterations."""
+    if total_iterations == 0:
+        return 0.0
+    useful = total_iterations * expected_cycles
+    if useful + lost == 0:
+        return 0.0
+    return lost / (useful + lost)
 
 
 class NoiseModel:
@@ -90,34 +101,24 @@ class NoiseModel:
         )
         return max(1.0, inverse_share * jitter)
 
-    def sample_detour_trace(
-        self,
-        memory_mb: int,
-        events_to_collect: int = 5000,
-        invocation: str = "",
-    ) -> DetourTrace:
-        """Simulate a selfish-detour run collecting ``events_to_collect`` detours."""
+    def _draw_detours(
+        self, memory_mb: int, events: int, invocation: str
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Cumulative iteration counts and observed cycles of each detour."""
         allocation = self._cpu_model.allocation(memory_mb)
         suspension = allocation.suspension_share
         stream = self._streams.stream(
             f"detour:{self._platform}:{memory_mb}:{invocation}"
         )
-        expected_cycles = 100.0
-        trace = DetourTrace(
-            platform=self._platform,
-            memory_mb=memory_mb,
-            expected_cycles_per_iteration=expected_cycles,
-        )
-
         if suspension <= 1e-6:
             # Practically no noise: detours are tiny scheduler blips.
-            detour_magnitude = expected_cycles * 0.05
+            detour_magnitude = _EXPECTED_CYCLES * 0.05
             iterations_between = 10_000
         else:
             # Choose detour frequency/magnitude so that
             #   lost / (useful + lost) == suspension  (in expectation).
             iterations_between = 2_000
-            useful_between = iterations_between * expected_cycles
+            useful_between = iterations_between * _EXPECTED_CYCLES
             detour_magnitude = suspension * useful_between / (1.0 - suspension)
 
         # Each event draws its gap, then its detour: one draw broadcasting the
@@ -126,14 +127,29 @@ class NoiseModel:
         draws = stream.normal(
             (iterations_between, detour_magnitude),
             (iterations_between * 0.05, detour_magnitude * 0.1),
-            size=(events_to_collect, 2),
+            size=(events, 2),
         )
         gaps = np.maximum(draws[:, 0].astype(np.int64), 1)
         detours = draws[:, 1]
-        observed = expected_cycles + np.where(detours > 0.0, detours, 0.0)
-        iterations = np.cumsum(gaps).tolist()
+        observed = _EXPECTED_CYCLES + np.where(detours > 0.0, detours, 0.0)
+        return np.cumsum(gaps), observed
+
+    def sample_detour_trace(
+        self,
+        memory_mb: int,
+        events_to_collect: int = 5000,
+        invocation: str = "",
+    ) -> DetourTrace:
+        """Simulate a selfish-detour run collecting ``events_to_collect`` detours."""
+        counts, observed = self._draw_detours(memory_mb, events_to_collect, invocation)
+        trace = DetourTrace(
+            platform=self._platform,
+            memory_mb=memory_mb,
+            expected_cycles_per_iteration=_EXPECTED_CYCLES,
+        )
+        iterations = counts.tolist()
         trace.events = [
-            DetourEvent(iteration, expected_cycles, cycles)
+            DetourEvent(iteration, _EXPECTED_CYCLES, cycles)
             for iteration, cycles in zip(iterations, observed.tolist())
         ]
         trace.total_iterations = iterations[-1] if iterations else 0
@@ -142,13 +158,20 @@ class NoiseModel:
     def suspension_curve(
         self, memory_configurations: Sequence[int], events: int = 5000
     ) -> Dict[int, Dict[str, float]]:
-        """Measured vs documented suspension for a sweep of memory configurations."""
+        """Measured vs documented suspension for a sweep of memory configurations.
+
+        The measured share equals ``sample_detour_trace(...).suspension_share()``
+        bit for bit (same lost cycles, summed left to right), without events.
+        """
         curve: Dict[int, Dict[str, float]] = {}
         for memory in memory_configurations:
             allocation = self._cpu_model.allocation(memory)
-            trace = self.sample_detour_trace(memory, events_to_collect=events)
+            iterations, observed = self._draw_detours(memory, events, "")
+            lost = sum(np.maximum(observed - _EXPECTED_CYCLES, 0.0).tolist())
             curve[memory] = {
-                "measured_suspension": trace.suspension_share(),
+                "measured_suspension": _suspension_share(
+                    int(iterations[-1]) if iterations.size else 0, _EXPECTED_CYCLES, lost
+                ),
                 "documented_suspension": allocation.documented_suspension_share,
             }
         return curve

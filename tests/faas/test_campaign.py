@@ -196,6 +196,30 @@ class TestCampaignCache:
         assert rerun.cache_hits == 0
         assert rerun.cells[0].result.summary is not None
 
+    def test_entry_deleted_between_scan_and_load_is_recomputed(self, tmp_path, monkeypatch):
+        """The scan is only a hint: a file it saw may be gone by load time."""
+        from repro.faas import campaign as campaign_module
+
+        spec = small_spec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,))
+        first = run_campaign(spec, workers=1, cache_dir=tmp_path)
+        real_scan = campaign_module.scan_cache_fingerprints
+
+        def scan_then_delete(cache_dir):
+            fingerprints = real_scan(cache_dir)
+            for path in tmp_path.glob("*.json"):
+                path.unlink()
+            return fingerprints
+
+        monkeypatch.setattr(campaign_module, "scan_cache_fingerprints", scan_then_delete)
+        job = spec.expand()[0]
+        assert job.fingerprint() in real_scan(tmp_path)
+        rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)
+        assert rerun.cache_hits == 0
+        assert rerun.aggregated_medians() == first.aggregated_medians()
+        # ... and the recomputed cell was written back.
+        assert job.fingerprint() in real_scan(tmp_path)
+        assert campaign_module._load_cached_document(tmp_path / "gone", job) is None
+
 
 class TestFaultIsolation:
     def test_campaign_error_names_the_failed_job(self):

@@ -2,7 +2,8 @@
 code they replaced.
 
 ``named_stream`` skips ``SeedSequence`` hashing for a recurring derived seed,
-and ``sample_detour_trace`` draws a whole trace in one broadcast call.  The
+``sample_detour_trace`` draws a whole trace in one broadcast call, and
+``suspension_curve`` reduces the draw arrays without building events.  The
 oracles below are the previous implementations, kept verbatim: any drift in
 a draw, an event or a float bit fails here.
 """
@@ -162,3 +163,42 @@ def test_detour_trace_equals_scalar_loop(platform, memory_mb, events):
             assert bits(event.expected_cycles) == bits(reference.expected_cycles)
             assert bits(event.observed_cycles) == bits(reference.observed_cycles)
         assert bits(trace.suspension_share()) == bits(expected.suspension_share())
+
+
+def oracle_suspension_curve(model: NoiseModel, memory_configurations, events: int):
+    """The per-event curve: build each trace, then walk its events."""
+    curve = {}
+    for memory in memory_configurations:
+        allocation = model._cpu_model.allocation(memory)
+        trace = model.sample_detour_trace(memory, events_to_collect=events)
+        if trace.total_iterations == 0:
+            measured = 0.0
+        else:
+            useful = trace.total_iterations * trace.expected_cycles_per_iteration
+            lost = sum(event.lost_cycles for event in trace.events)
+            measured = 0.0 if useful + lost == 0 else lost / (useful + lost)
+        curve[memory] = {
+            "measured_suspension": measured,
+            "documented_suspension": allocation.documented_suspension_share,
+        }
+    return curve
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("events", [0, 1, 2, 500, 5000])
+@pytest.mark.parametrize("platform", sorted(CPU_MODELS))
+def test_suspension_curve_equals_per_event_curve(platform, events, seed):
+    cpu_model = CPU_MODELS[platform]()
+    model = NoiseModel(platform, cpu_model, RandomStreams(seed))
+    oracle_model = NoiseModel(platform, cpu_model, RandomStreams(seed))
+    # Twice over: the second sweep continues every stream.
+    for _ in range(2):
+        curve = model.suspension_curve(MEMORY_CONFIGURATIONS_MB, events=events)
+        expected = oracle_suspension_curve(oracle_model, MEMORY_CONFIGURATIONS_MB, events)
+        assert list(curve) == list(expected) == list(MEMORY_CONFIGURATIONS_MB)
+        for memory, values in curve.items():
+            reference = expected[memory]
+            assert set(values) == set(reference)
+            for key, value in values.items():
+                assert type(value) is float
+                assert bits(value) == bits(reference[key]), (memory, key)
