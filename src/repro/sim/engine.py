@@ -25,6 +25,30 @@ so its data layout is tuned:
 None of this changes observable scheduling order: entries fire in
 ``(time, seq)`` order exactly as before, so seeded results are bit-identical
 to the pre-optimization engine.
+
+A process that spawns a child and waits on it at once writes
+``x = yield from env.call(gen)`` instead of ``x = yield env.process(gen)``.
+:meth:`Environment.call` runs the child generator inside its parent, with no
+:class:`Process`, bootstrap entry or completion entry.  It keeps the spawned
+path's event order by the *exactness rule*: before the child starts, and again
+after it returns or raises, it asks whether anything would run before the
+bootstrap (or completion) entry the spawned path schedules at ``now``:
+
+* an entry at ``now`` in the heap or the batch lane (a stale key counts:
+  being conservative is still exact);
+* a sibling callback still to run in the current list dispatch;
+* the current :meth:`~Environment.run`'s ``until`` event already processed
+  (the loop stops before the spawned bootstrap would run).
+
+If so, the parent yields ``Timeout(env, 0)``, which takes exactly the
+``(now, seq)`` slot the skipped entry would have taken; if not, it continues
+inline.  A bare ``yield from`` skips this check and reorders same-time
+events -- and that order decides, e.g., which container an invocation gets.
+
+A :class:`Process` drops its bound ``_resume`` callback once its generator
+returns or raises.  That breaks the process's only reference cycle, so a
+finished process is freed by reference counting instead of by a cyclic GC
+pass.
 """
 
 from __future__ import annotations
@@ -110,8 +134,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay}")
+        if not delay >= 0:  # also rejects NaN, for which every comparison is false
+            raise SimulationError(f"negative or NaN timeout delay: {delay}")
         self.env = env
         self.callbacks = None
         self._value = value
@@ -167,10 +191,12 @@ class Process(Event):
                 else:
                     target = generator.send(event._value)
             except StopIteration as stop:
+                self._resume_cb = None  # break the self-cycle: refcount frees us
                 if not self.triggered:
                     self.succeed(stop.value)
                 return
             except BaseException as exc:  # propagate failures to waiters
+                self._resume_cb = None
                 if not self.triggered:
                     self.fail(exc)
                     return
@@ -278,7 +304,7 @@ class Environment:
     """
 
     __slots__ = ("_now", "_queue", "_pending", "_eid", "_run", "_run_head",
-                 "_monitor")
+                 "_monitor", "_until", "_fanout")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = initial_time
@@ -288,6 +314,10 @@ class Environment:
         self._run: List[Tuple[float, int]] = []
         self._run_head = 0
         self._monitor: Any = None
+        # What call()'s exactness check needs beyond the queues: the running
+        # run()'s `until` event, and whether a list dispatch is in progress.
+        self._until: Optional[Event] = None
+        self._fanout = False
 
     @property
     def now(self) -> float:
@@ -326,8 +356,8 @@ class Environment:
         The single-entry fast lane: use it when nothing needs to wait on the
         scheduled work (the callable can itself create events or processes).
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay}")
         self._schedule_fn(fn, delay)
 
     def schedule_batch(self, delays: Iterable[float], fn: Callable[[], None]) -> int:
@@ -343,8 +373,12 @@ class Environment:
         ts = sorted(delays)
         if not ts:
             return 0
-        if ts[0] < 0:
-            raise SimulationError(f"negative delay in batch: {ts[0]}")
+        # A NaN anywhere makes the sum NaN (and the sort order meaningless);
+        # without one, ts[0] is the true minimum.
+        total = sum(ts)
+        if not (ts[0] >= 0 and total == total):
+            bad = next(t for t in ts if not t >= 0)
+            raise SimulationError(f"negative or NaN delay in batch: {bad}")
         now = self._now
         base = self._eid
         end = base + len(ts)
@@ -370,6 +404,42 @@ class Environment:
 
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         return Process(self, generator)
+
+    def call(self, generator: Generator[Event, Any, Any]) -> Generator[Event, Any, Any]:
+        """Run ``generator`` inside the calling process and return its value.
+
+        Use as ``x = yield from env.call(gen)``: the same event order, value
+        and exception as ``x = yield env.process(gen)``, without the child
+        :class:`Process` and its two queue entries (module docstring: the
+        exactness rule).
+        """
+        if self._contended():
+            yield Timeout(self, 0)  # the bootstrap entry's (now, seq) slot
+        try:
+            value = yield from generator
+        except GeneratorExit:
+            raise
+        except BaseException:
+            if self._contended():
+                yield Timeout(self, 0)  # the completion entry's slot
+            raise
+        if self._contended():
+            yield Timeout(self, 0)
+        return value
+
+    def _contended(self) -> bool:
+        """Would anything run before an entry scheduled now at ``now``?"""
+        now = self._now
+        queue = self._queue
+        run = self._run
+        head = self._run_head
+        until = self._until
+        return bool(
+            (queue and queue[0][0] <= now)
+            or (head < len(run) and run[head][0] <= now)
+            or self._fanout
+            or (until is not None and until.processed)
+        )
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -401,8 +471,10 @@ class Environment:
             if callbacks is not None:
                 entry.callbacks = None
                 if type(callbacks) is list:
+                    self._fanout = True
                     for callback in callbacks:
                         callback(entry)
+                    self._fanout = False
                 else:
                     callbacks(entry)
         else:
@@ -425,6 +497,7 @@ class Environment:
         pending_pop = self._pending.pop
         pop = heapq.heappop
         remaining = max_events
+        self._until = until
         try:
             if until is None:
                 while True:
@@ -457,8 +530,10 @@ class Environment:
                         if callbacks is not None:
                             entry.callbacks = None
                             if type(callbacks) is list:
+                                self._fanout = True
                                 for callback in callbacks:
                                     callback(entry)
+                                self._fanout = False
                             else:
                                 callbacks(entry)
                     else:
@@ -493,8 +568,10 @@ class Environment:
                     if callbacks is not None:
                         entry.callbacks = None
                         if type(callbacks) is list:
+                            self._fanout = True
                             for callback in callbacks:
                                 callback(entry)
+                            self._fanout = False
                         else:
                             callbacks(entry)
                 else:
@@ -505,6 +582,8 @@ class Environment:
                 raise until.exception
             return until.value
         finally:
+            self._until = None
+            self._fanout = False  # a callback may have raised mid-dispatch
             if monitor is not None:
                 monitor.run_complete(
                     events=max_events - remaining,

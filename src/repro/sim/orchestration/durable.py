@@ -134,7 +134,7 @@ class DurableExecutor:
         finally:
             self._platform.queued_work_items -= 1
 
-        result, moved_bytes = yield env.process(
+        result, moved_bytes = yield from env.call(
             self._platform.invoke_function(
                 functions[func_name],
                 payload,

@@ -144,7 +144,7 @@ class StateMachineExecutor:
             payload_size_bytes(payload), label=func_name
         )
         yield self._platform.env.timeout(transfer)
-        result = yield self._platform.env.process(
+        result = yield from self._platform.env.call(
             self._platform.invoke_function(
                 functions[func_name], payload, phase_name, invocation_id, memory_mb
             )
@@ -217,7 +217,7 @@ class StateMachineExecutor:
                 payload_size_bytes(current), label=sub.func_name
             )
             yield env.timeout(transfer)
-            current = yield env.process(
+            current = yield from env.call(
                 self._platform.invoke_function(
                     functions[sub.func_name], current, phase_name, invocation_id, memory_mb
                 )

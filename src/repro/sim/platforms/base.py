@@ -117,7 +117,7 @@ class Platform:
         request_id = f"{invocation_id}-{next(self._request_counter)}"
         self.outstanding_activities += 1
         try:
-            acquire = yield self.env.process(self.container_pool.acquire(spec.name))
+            acquire = yield from self.env.call(self.container_pool.acquire(spec.name))
 
             concurrency_hint = max(1, self.outstanding_activities,
                                     self.container_pool.active_containers())

@@ -19,6 +19,12 @@ class TestTimeoutsAndClock:
         with pytest.raises(SimulationError):
             Environment().timeout(-1.0)
 
+    def test_nan_timeout_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="NaN"):
+            env.timeout(float("nan"))
+        assert env.now == 0.0
+
     def test_timeouts_fire_in_order(self):
         env = Environment()
         order = []
@@ -421,6 +427,10 @@ class TestBulkSchedulingLane:
         with pytest.raises(SimulationError):
             Environment().schedule_call(-0.1, lambda: None)
 
+    def test_schedule_call_rejects_nan_delay(self):
+        with pytest.raises(SimulationError, match="NaN"):
+            Environment().schedule_call(float("nan"), lambda: None)
+
     def test_batch_fires_in_time_order(self):
         env = Environment()
         seen = []
@@ -438,6 +448,14 @@ class TestBulkSchedulingLane:
     def test_batch_rejects_negative_delays(self):
         with pytest.raises(SimulationError):
             Environment().schedule_batch([1.0, -2.0], lambda: None)
+
+    def test_batch_rejects_nan_delay_anywhere(self):
+        # Every NaN comparison is false, so sorting leaves the NaN mid-list
+        # and a check of the sorted minimum alone would let it through.
+        env = Environment()
+        with pytest.raises(SimulationError, match="NaN delay in batch: nan"):
+            env.schedule_batch([1.0, float("nan"), 0.5], lambda: None)
+        assert env._pending == {}
 
     def test_batch_interleaves_with_heap_events(self):
         env = Environment()
