@@ -23,7 +23,7 @@ from conftest import BURST_SIZE, SEED
 
 from repro.benchmarks import get_benchmark
 from repro.faas import Deployment, TriggerConfig, BurstTrigger, summarize
-from repro.sim import Platform, get_profile
+from repro.sim import Platform, resolve_platform
 
 
 def _run_on_profile(benchmark_name: str, profile, burst_size: int, seed: int):
@@ -39,7 +39,7 @@ def test_ablation_azure_storage_staging(benchmark):
     """Without task-hub staging/checkpointing, Azure's Video Analysis overhead collapses."""
 
     def run():
-        baseline_profile = get_profile("azure")
+        baseline_profile = resolve_platform("azure")
         ablated_orchestration = replace(
             baseline_profile.orchestration,
             stage_storage_io=False,
@@ -62,7 +62,7 @@ def test_ablation_gcp_scale_out_cap(benchmark):
     """Raising GCP's scale-out factor to 1.0 makes its burst cold-start fraction AWS-like."""
 
     def run():
-        capped_profile = get_profile("gcp")
+        capped_profile = resolve_platform("gcp")
         uncapped_scaling = replace(capped_profile.scaling, scale_out_factor=1.0,
                                    provisioning_interval_s=0.02)
         uncapped_profile = capped_profile.with_overrides(scaling=uncapped_scaling)
@@ -83,7 +83,7 @@ def test_ablation_cold_start_initialisation(benchmark):
 
     def run():
         bench = get_benchmark("ml")
-        platform = Platform(get_profile("aws"), seed=SEED)
+        platform = Platform(resolve_platform("aws"), seed=SEED)
         deployment = Deployment.deploy(bench, platform)
         ids = BurstTrigger(TriggerConfig(burst_size=BURST_SIZE)).fire(deployment)
         baseline = summarize("ml", "aws", [deployment.measurement(i) for i in ids])
@@ -91,7 +91,7 @@ def test_ablation_cold_start_initialisation(benchmark):
         stripped = get_benchmark("ml")
         for name, spec in stripped.functions.items():
             stripped.functions[name] = replace(spec, cold_init_s=0.0)
-        platform2 = Platform(get_profile("aws"), seed=SEED)
+        platform2 = Platform(resolve_platform("aws"), seed=SEED)
         deployment2 = Deployment.deploy(stripped, platform2)
         ids2 = BurstTrigger(TriggerConfig(burst_size=BURST_SIZE)).fire(deployment2)
         ablated = summarize("ml", "aws", [deployment2.measurement(i) for i in ids2])

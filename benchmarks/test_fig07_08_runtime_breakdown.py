@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from conftest import PAPER_MEDIAN_RUNTIME_S
 
-from repro.analysis import figures, report
+from repro.analysis import report
 
 
-def test_fig07_runtime_per_platform(benchmark, e1_campaign):
+def test_fig07_runtime_per_platform(benchmark, build_artifact):
     figure = benchmark.pedantic(
-        figures.figure7_runtime, kwargs={"results": e1_campaign}, rounds=1, iterations=1
+        build_artifact, args=("figure7",), rounds=1, iterations=1
     )
     print()
     print(report.format_nested(figure, "Figure 7: runtime of benchmark applications (burst)"))
@@ -42,9 +42,9 @@ def test_fig07_runtime_per_platform(benchmark, e1_campaign):
     assert trip["aws"]["median_runtime_s"] > 0.9 * max(v["median_runtime_s"] for v in trip.values())
 
 
-def test_fig08_critical_path_vs_overhead(benchmark, e1_campaign):
+def test_fig08_critical_path_vs_overhead(benchmark, build_artifact):
     figure = benchmark.pedantic(
-        figures.figure8_breakdown, kwargs={"results": e1_campaign}, rounds=1, iterations=1
+        build_artifact, args=("figure8",), rounds=1, iterations=1
     )
     print()
     print(report.format_nested(figure, "Figure 8: critical path vs orchestration overhead"))

@@ -3,12 +3,12 @@
 
 from __future__ import annotations
 
-from repro.analysis import figures, report
+from repro.analysis import report
 
 
-def test_fig11_container_scaling_profiles(benchmark, e1_campaign):
+def test_fig11_container_scaling_profiles(benchmark, build_artifact):
     profiles = benchmark.pedantic(
-        figures.figure11_scaling_profiles, kwargs={"results": e1_campaign}, rounds=1, iterations=1
+        build_artifact, args=("figure11",), rounds=1, iterations=1
     )
     print()
     rows = []

@@ -4,7 +4,7 @@ campaign."""
 
 from __future__ import annotations
 
-from repro.analysis import figures, report
+from repro.analysis import report
 
 
 def test_fig14_genome_vs_hpc_scaling(benchmark, build_artifact):
@@ -34,9 +34,9 @@ def test_fig14_genome_vs_hpc_scaling(benchmark, build_artifact):
     assert all(speedup > 1.4 for speedup in aws_speedups)
 
 
-def test_fig15_price_per_1000_executions(benchmark, e1_campaign):
+def test_fig15_price_per_1000_executions(benchmark, build_artifact):
     figure = benchmark.pedantic(
-        figures.figure15_pricing, kwargs={"results": e1_campaign}, rounds=1, iterations=1
+        build_artifact, args=("figure15",), rounds=1, iterations=1
     )
     print()
     print(report.format_nested(figure, "Figure 15: price per 1000 workflow executions [$]"))

@@ -7,7 +7,7 @@ from conftest import BURST_SIZE, SEED
 from repro.analysis import report
 from repro.analysis.literature import coverage_fraction, expressiveness_summary
 from repro.benchmarks import get_benchmark
-from repro.faas import run_benchmark
+from repro.faas import WorkloadSpec, run_benchmark
 
 
 def test_sec61_model_expressiveness(benchmark):
@@ -27,7 +27,7 @@ def test_sec62_transcription_overhead(benchmark):
     def run():
         return run_benchmark(
             get_benchmark("genome_1000"), "azure",
-            burst_size=max(2, BURST_SIZE // 6), seed=SEED,
+            workload=WorkloadSpec.burst(max(2, BURST_SIZE // 6)), seed=SEED,
         )
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -12,37 +12,41 @@ Run with:  python examples/overhead_investigation.py
 
 from __future__ import annotations
 
-from repro.analysis import figures, report
+from repro.analysis import report
+from repro.analysis.artifacts import ArtifactConfig, execute_plan, plan_artifacts
 
 
 def main() -> None:
-    print("=== Storage I/O overhead (Figure 9a) ===")
-    storage = figures.figure9a_storage_overhead(
-        download_sizes=(1 << 16, 1 << 22, 1 << 27),
-        num_functions=20,
-        burst_size=6,
-        seed=21,
+    # The three figures are planned as one campaign and executed once.
+    config = (
+        ArtifactConfig(seed=21)
+        .with_overrides(
+            "figure9a", download_sizes=(1 << 16, 1 << 22, 1 << 27),
+            num_functions=20, burst_size=6,
+        )
+        .with_overrides(
+            "figure9b", payload_sizes=(1 << 8, 1 << 13, 1 << 17),
+            chain_length=10, burst_size=6,
+        )
+        .with_overrides(
+            "figure10", parallelism=(2, 8, 16), durations_s=(1.0, 10.0), burst_size=6,
+        )
     )
+    plan = plan_artifacts(["figure9a", "figure9b", "figure10"], config)
+    campaign = execute_plan(plan, workers=1)
+    storage, payload, sleep = (
+        artifact.build(campaign, config) for artifact in plan.artifacts
+    )
+
+    print("=== Storage I/O overhead (Figure 9a) ===")
     print(report.format_series(storage))
     print()
 
     print("=== Return-payload latency, warm chain of 10 functions (Figure 9b) ===")
-    payload = figures.figure9b_payload_latency(
-        payload_sizes=(1 << 8, 1 << 13, 1 << 17),
-        chain_length=10,
-        burst_size=6,
-        seed=21,
-    )
     print(report.format_series(payload))
     print()
 
     print("=== Parallel-sleep scheduling overhead (Figure 10) ===")
-    sleep = figures.figure10_parallel_sleep(
-        parallelism=(2, 8, 16),
-        durations_s=(1.0, 10.0),
-        burst_size=6,
-        seed=21,
-    )
     for platform, cells in sleep.items():
         rows = [dict(cell=key, **values) for key, values in sorted(cells.items())]
         print(report.format_table(rows, f"[{platform}] relative overhead (runtime / sleep)"))

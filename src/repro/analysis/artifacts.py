@@ -113,11 +113,10 @@ def request_result(campaign: CampaignResult, request: CellRequest):
 class ArtifactConfig:
     """Shared knobs of one artifact plan.
 
-    ``burst_size``/``seed`` parameterise the closed-loop E1-style artifacts
-    exactly like the legacy builder signatures did; ``quick`` shrinks bursts
-    and sweep series to smoke-test size.  ``overrides`` carries per-artifact
-    parameters (``{"figure9a": {"download_sizes": (4096,)}}``) -- the legacy
-    builder keyword arguments map onto it one to one.
+    ``burst_size``/``seed`` parameterise the closed-loop E1-style artifacts;
+    ``quick`` shrinks bursts and sweep series to smoke-test size.
+    ``overrides`` carries per-artifact parameters
+    (``{"figure9a": {"download_sizes": (4096,)}}``).
     """
 
     burst_size: int = 30

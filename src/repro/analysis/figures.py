@@ -9,12 +9,15 @@ merged grid results at zero cost, and cells shared between figures (the E1
 burst runs feeding Figures 7/8/11/15 and Table 5) execute exactly once per
 plan.
 
-The historical ``figure*`` functions remain as thin shims over the pipeline:
-they plan their single artifact, execute it through the ordinary cache-aware
-campaign runner, and return bit-identical structures (cells carry the raw
-legacy seeds verbatim).  Figure builders accept a ``burst_size`` (the paper
-uses 30) and a ``seed`` so that quick runs stay cheap while full runs match
-the paper's methodology.
+To compute one figure, plan it and build it from the executed campaign::
+
+    config = ArtifactConfig(seed=0).with_overrides("figure9a", burst_size=2)
+    plan = plan_artifacts(["figure9a"], config)
+    data = plan.artifacts[0].build(execute_plan(plan), config)
+
+:class:`~repro.analysis.artifacts.ArtifactConfig` carries the ``burst_size``
+(the paper uses 30), the ``seed`` and per-artifact overrides, so quick runs
+stay cheap while full runs match the paper's methodology.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ from ..sim import MEMORY_CONFIGURATIONS_MB, NoiseModel, RandomStreams, resolve_p
 from ..sim.platforms.spec import PlatformSpec
 from . import report
 from .artifacts import (
-    CLOUDS,
     ArtifactConfig,
     ArtifactSpec,
     CellRequest,
     collect_pairs,
-    execute_plan,
-    plan_artifacts,
     register_artifact,
     request_result,
 )
@@ -51,15 +51,6 @@ FIGURE14_PLATFORMS = ("aws", "gcp", "azure", "hpc")
 
 
 # --------------------------------------------------------------------- helpers
-def _run_single_artifact(
-    name: str, config: ArtifactConfig, workers: Optional[int] = 1
-) -> object:
-    """Plan, execute, and build one artifact (the legacy-shim entry point)."""
-    plan = plan_artifacts([name], config)
-    campaign = execute_plan(plan, workers=workers)
-    return plan.artifacts[0].build(campaign, config)
-
-
 def _platforms(config: ArtifactConfig, artifact: str) -> Tuple[str, ...]:
     return tuple(config.value(artifact, "platforms", config.platforms))  # type: ignore[arg-type]
 
@@ -95,30 +86,6 @@ def collect_e1(
     return collect_pairs(campaign, _e1_items(config, benchmarks))
 
 
-def application_comparison(
-    benchmarks: Optional[Sequence[str]] = None,
-    platforms: Sequence[str] = CLOUDS,
-    burst_size: int = 30,
-    seed: int = 0,
-    workers: Optional[int] = 1,
-) -> Dict[str, Dict[str, ExperimentResult]]:
-    """Run the application benchmarks on all platforms (experiment E1).
-
-    Returns ``{benchmark: {platform: ExperimentResult}}`` -- the raw material
-    for Figures 7, 8, 11, 15 and Table 5.  Executed through the artifact
-    pipeline's campaign plan, so repeated calls with a shared cache are free.
-    """
-    config = ArtifactConfig(
-        burst_size=burst_size,
-        seed=seed,
-        benchmarks=tuple(benchmarks) if benchmarks is not None else None,
-        platforms=tuple(platforms),
-    )
-    plan = plan_artifacts(["figure7"], config)
-    campaign = execute_plan(plan, workers=workers)
-    return collect_e1(campaign, config)
-
-
 # -------------------------------------------------------------------- figure 7
 def _figure7_from_results(
     results: Dict[str, Dict[str, ExperimentResult]],
@@ -136,18 +103,6 @@ def _figure7_from_results(
                 "cv": coefficient_of_variation(runtimes),
             }
     return figure
-
-
-def figure7_runtime(
-    results: Optional[Dict[str, Dict[str, ExperimentResult]]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    burst_size: int = 30,
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Median runtime (and spread) of every application benchmark per platform."""
-    if results is None:
-        results = application_comparison(benchmarks, burst_size=burst_size, seed=seed)
-    return _figure7_from_results(results)
 
 
 register_artifact(ArtifactSpec(
@@ -178,18 +133,6 @@ def _figure8_from_results(
                 "median_runtime_s": result.median_runtime,
             }
     return figure
-
-
-def figure8_breakdown(
-    results: Optional[Dict[str, Dict[str, ExperimentResult]]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    burst_size: int = 30,
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Critical path vs orchestration overhead per benchmark and platform."""
-    if results is None:
-        results = application_comparison(benchmarks, burst_size=burst_size, seed=seed)
-    return _figure8_from_results(results)
 
 
 register_artifact(ArtifactSpec(
@@ -244,24 +187,6 @@ def _build_figure9a(
     return series
 
 
-def figure9a_storage_overhead(
-    download_sizes: Sequence[int] = tuple(2**exp for exp in range(12, 28, 3)),
-    num_functions: int = 20,
-    burst_size: int = 10,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, List[Dict[str, float]]]:
-    """Workflow overhead of parallel object-storage downloads vs file size."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure9a",
-        download_sizes=tuple(download_sizes),
-        num_functions=num_functions,
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure9a", config)  # type: ignore[return-value]
-
-
 register_artifact(ArtifactSpec(
     name="figure9a",
     title="Figure 9a: overhead of parallel storage downloads",
@@ -285,7 +210,7 @@ def _figure9b_items(
     )
     chain_length = config.value("figure9b", "chain_length", 10, quick=4)
     burst = config.value("figure9b", "burst_size", 10, quick=2)
-    workload = WorkloadSpec.from_mode("warm", int(burst))  # type: ignore[arg-type]
+    workload = WorkloadSpec.warm(int(burst))  # type: ignore[arg-type]
     for size in sizes:  # type: ignore[union-attr]
         for platform in _platforms(config, "figure9b"):
             benchmark = canonical_benchmark_spec(
@@ -317,24 +242,6 @@ def _build_figure9b(
             }
         )
     return series
-
-
-def figure9b_payload_latency(
-    payload_sizes: Sequence[int] = tuple(2**exp for exp in range(6, 18, 2)),
-    chain_length: int = 10,
-    burst_size: int = 10,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, List[Dict[str, float]]]:
-    """Latency of a warm function chain vs return-payload size."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure9b",
-        payload_sizes=tuple(payload_sizes),
-        chain_length=chain_length,
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure9b", config)  # type: ignore[return-value]
 
 
 register_artifact(ArtifactSpec(
@@ -393,24 +300,6 @@ def _build_figure10(
     return heatmaps
 
 
-def figure10_parallel_sleep(
-    parallelism: Sequence[int] = (2, 4, 8, 16),
-    durations_s: Sequence[float] = (1.0, 5.0, 10.0, 20.0),
-    burst_size: int = 10,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Relative overhead of the parallel-sleep microbenchmark per (N, T) cell."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure10",
-        parallelism=tuple(parallelism),
-        durations_s=tuple(durations_s),
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure10", config)  # type: ignore[return-value]
-
-
 register_artifact(ArtifactSpec(
     name="figure10",
     title="Figure 10: relative overhead of parallel sleep",
@@ -443,19 +332,6 @@ def _figure11_from_results(
         }
         for benchmark, per_platform in results.items()
     }
-
-
-def figure11_scaling_profiles(
-    results: Optional[Dict[str, Dict[str, ExperimentResult]]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    burst_size: int = 30,
-    seed: int = 0,
-) -> Dict[str, Dict[str, List[Dict[str, float]]]]:
-    """Distinct containers over time for a burst of workflow invocations."""
-    if results is None:
-        names = list(benchmarks) if benchmarks is not None else list(FIGURE11_BENCHMARKS)
-        results = application_comparison(names, burst_size=burst_size, seed=seed)
-    return _figure11_from_results(results)
 
 
 def _figure11_text(data: Dict[str, Dict[str, List[Dict[str, float]]]]) -> str:
@@ -497,7 +373,7 @@ def _figure12_items(
     names = config.value("figure12", "benchmarks", ("ml", "mapreduce"))
     burst = int(config.value("figure12", "burst_size", config.closed_burst()))  # type: ignore[arg-type]
     cold = WorkloadSpec.burst(burst)
-    warm = WorkloadSpec.from_mode("warm", burst)
+    warm = WorkloadSpec.warm(burst)
     for name in names:  # type: ignore[union-attr]
         for platform in _platforms(config, "figure12"):
             yield name, platform, CellRequest(
@@ -529,22 +405,6 @@ def _build_figure12(
             ),
         }
     return figure
-
-
-def figure12_warm_cold(
-    benchmarks: Sequence[str] = ("ml", "mapreduce"),
-    burst_size: int = 30,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Critical path and overhead of cold (burst) vs warm invocations."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure12",
-        benchmarks=tuple(benchmarks),
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure12", config)  # type: ignore[return-value]
 
 
 register_artifact(ArtifactSpec(
@@ -621,22 +481,6 @@ def _build_figure13(
                 "suspension_share": share,
             }
     return {"suspension": suspension, "normalized_critical_path": normalized}
-
-
-def figure13_os_noise(
-    memory_configurations: Sequence[int] = MEMORY_CONFIGURATIONS_MB,
-    events: int = 5000,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, object]:
-    """Suspension-time curves (13a) and normalised critical paths (13b/13c)."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure13",
-        memory_configurations=tuple(memory_configurations),
-        events=events,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure13", config)  # type: ignore[return-value]
 
 
 def _figure13_text(data: Dict[str, object]) -> str:
@@ -731,22 +575,6 @@ def _build_figure14(
     }
 
 
-def figure14_genome_scaling(
-    job_counts: Sequence[int] = (5, 10, 20),
-    burst_size: int = 5,
-    seed: int = 0,
-    platforms: Sequence[str] = FIGURE14_PLATFORMS,
-) -> Dict[str, object]:
-    """1000Genome on clouds vs the HPC system: full workflow and strong scaling."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure14",
-        job_counts=tuple(job_counts),
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure14", config)  # type: ignore[return-value]
-
-
 def _pairwise_speedups(durations: Dict[int, float]):
     jobs = sorted(durations)
     for small, large in zip(jobs, jobs[1:]):
@@ -810,18 +638,6 @@ def _figure15_from_results(
     return figure
 
 
-def figure15_pricing(
-    results: Optional[Dict[str, Dict[str, ExperimentResult]]] = None,
-    benchmarks: Optional[Sequence[str]] = None,
-    burst_size: int = 30,
-    seed: int = 0,
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Price per 1000 workflow executions, split into function and orchestration cost."""
-    if results is None:
-        results = application_comparison(benchmarks, burst_size=burst_size, seed=seed)
-    return _figure15_from_results(results)
-
-
 register_artifact(ArtifactSpec(
     name="figure15",
     title="Figure 15: price per 1000 workflow executions [$]",
@@ -864,24 +680,6 @@ def _build_figure16(
             "median_runtime_s": result.median_runtime,
         }
     return figure
-
-
-def figure16_evolution(
-    benchmarks: Sequence[str] = ("mapreduce", "ml"),
-    eras: Sequence[str] = ("2022", "2024"),
-    burst_size: int = 30,
-    seed: int = 0,
-    platforms: Sequence[str] = CLOUDS,
-) -> Dict[str, Dict[str, Dict[str, Dict[str, float]]]]:
-    """Critical path and overhead of MapReduce and ML in 2022 vs 2024."""
-    config = ArtifactConfig(seed=seed).with_overrides(
-        "figure16",
-        benchmarks=tuple(benchmarks),
-        eras=tuple(eras),
-        burst_size=burst_size,
-        platforms=tuple(platforms),
-    )
-    return _run_single_artifact("figure16", config)  # type: ignore[return-value]
 
 
 def _figure16_text(data: Dict[str, Dict[str, Dict[str, Dict[str, float]]]]) -> str:

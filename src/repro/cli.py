@@ -15,11 +15,11 @@ Usage examples::
     repro-flow list
     repro-flow stats mapreduce
     repro-flow transcribe mapreduce --platform gcp
-    repro-flow run mapreduce --platform aws --burst-size 10 --output result.json
+    repro-flow run mapreduce --platform aws --workload burst:burst_size=10 --output result.json
     repro-flow run ml --platform aws@2022:cold_start=x1.5
     repro-flow run ml --workload poisson:rate=50,duration=120
-    repro-flow compare ml --burst-size 10
-    repro-flow compare ml --platforms aws aws@2022 --burst-size 5
+    repro-flow compare ml --workload burst:burst_size=10
+    repro-flow compare ml --platforms aws aws@2022 --workload burst:burst_size=5
     repro-flow campaign --benchmarks mapreduce ml --seeds 2 --workers 4
     repro-flow campaign --benchmarks ml --workload burst poisson:rate=5,duration=30
     repro-flow campaign --benchmarks ml --scenarios scenarios.toml \
@@ -52,7 +52,6 @@ from .faas import (
     CampaignResult,
     CampaignSpec,
     GridRun,
-    WorkloadSpec,
     autoscale_hint,
     compare_platforms,
     create_backend,
@@ -127,8 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     workload_help = (
         "workload spec, e.g. burst:burst_size=30, warm:settle_s=5, "
         "poisson:rate=50,duration=120, constant:rate=10,duration=60, "
-        "ramp:start_rate=1,end_rate=20,duration=300, trace:path=arrivals.json "
-        "(overrides --mode/--burst-size)"
+        "ramp:start_rate=1,end_rate=20,duration=300, trace:path=arrivals.json"
     )
     platform_help = (
         "platform spec: a registered platform or scenario name, optionally with "
@@ -154,10 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     run = subparsers.add_parser("run", help="run one benchmark on one platform")
     run.add_argument("benchmark")
     run.add_argument("--platform", default="aws", help=platform_help)
-    run.add_argument("--burst-size", type=int, default=30)
     run.add_argument("--repetitions", type=int, default=1)
-    run.add_argument("--mode", choices=("burst", "warm"), default="burst")
-    run.add_argument("--workload", default=None, help=workload_help)
+    run.add_argument("--workload", default=None,
+                     help=f"{workload_help} (default: burst:burst_size=30)")
     run.add_argument("--era", default=None, help=era_help)
     run.add_argument("--scenarios", default=None, help=scenarios_help)
     run.add_argument("--seed", type=int, default=0)
@@ -166,10 +163,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = subparsers.add_parser("compare", help="run one benchmark on all cloud platforms")
     compare.add_argument("benchmark")
-    compare.add_argument("--burst-size", type=int, default=30)
     compare.add_argument("--repetitions", type=int, default=1)
-    compare.add_argument("--mode", choices=("burst", "warm"), default="burst")
-    compare.add_argument("--workload", default=None, help=workload_help)
+    compare.add_argument("--workload", default=None,
+                         help=f"{workload_help} (default: burst:burst_size=30)")
     compare.add_argument("--era", default=None, help=era_help)
     compare.add_argument("--scenarios", default=None, help=scenarios_help)
     compare.add_argument("--seed", type=int, default=0)
@@ -210,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="trigger mode (default: burst)")
     campaign.add_argument(
         "--workload", nargs="+", default=None, dest="workloads",
-        help=f"workload sweep dimension; each entry is a {workload_help}",
+        help=f"workload sweep dimension (replaces --mode/--burst-size); each "
+             f"entry is a {workload_help}",
     )
     campaign.add_argument(
         "--workers", type=int, default=None,
@@ -491,10 +488,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.scenarios:
         load_scenarios(args.scenarios)
     benchmark = get_benchmark(args.benchmark)
-    # --mode/--burst-size stay supported flags, but compile to a WorkloadSpec
-    # here (and --era to an era-pinned platform spec) so the CLI never feeds
-    # the deprecated kwargs through the library API.
-    workload = args.workload or WorkloadSpec.from_mode(args.mode, args.burst_size)
     platform = PlatformSpec.coerce(args.platform).with_default_era(args.era)
     result = run_benchmark(
         benchmark,
@@ -502,7 +495,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         repetitions=args.repetitions,
         seed=args.seed,
         memory_mb=args.memory_mb,
-        workload=workload,
+        workload=args.workload,
     )
     summary_row = result.summary.as_row() if result.summary else {}
     print(report.format_table([summary_row], f"{args.benchmark} on {args.platform}"))
@@ -523,14 +516,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.scenarios:
         load_scenarios(args.scenarios)
     benchmark = get_benchmark(args.benchmark)
-    workload = args.workload or WorkloadSpec.from_mode(args.mode, args.burst_size)
     results = compare_platforms(
         benchmark,
         platforms=args.platforms,
         repetitions=args.repetitions,
         era=args.era,
         seed=args.seed,
-        workload=workload,
+        workload=args.workload,
     )
     rows = []
     open_loop_rows = []
@@ -651,6 +643,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 unknown.append(name)
         if unknown:
             raise ValueError(f"unknown benchmarks: {', '.join(unknown)}")
+        legacy = [flag for flag, value in (
+            ("--mode", args.mode), ("--burst-size", args.burst_size),
+        ) if value is not None]
+        if args.workloads and legacy:
+            # The workload sweep replaces the legacy pair, which would be
+            # silently ignored alongside it.
+            raise ValueError(
+                f"--workload cannot be combined with {' or '.join(legacy)}; "
+                f"put them in the workload spec instead (e.g. warm:burst_size=10)"
+            )
         spec = CampaignSpec(
             benchmarks=args.benchmarks,
             platforms=args.platforms if args.platforms is not None else ("gcp", "aws", "azure"),

@@ -15,8 +15,8 @@ R004 worker-pickle-safety    callables submitted to process pools are picklable
                              per-process memo/cache state is rebuilt in the
                              worker, never pickled into a payload
 R005 mutable-default-arg     no mutable default argument values anywhere
-R006 deprecated-kwarg        no internal call sites of the deprecated
-                             ``mode=``/``burst_size=``/``era=`` trigger kwargs
+R006 deprecated-kwarg        no internal call sites of ``CampaignSpec``'s
+                             deprecated ``mode=``/``burst_size=`` pair
 R007 event-handler-purity    callbacks registered on engine events (and the
                              ``schedule_call``/``schedule_batch`` fast lanes)
                              stay pure: no ambient RNG/clock draws, no module
@@ -572,34 +572,28 @@ class MutableDefaultArgRule(Rule):
 
 # ------------------------------------------------------------------------ R006
 class DeprecatedKwargRule(Rule):
-    """No internal call feeds the deprecated trigger kwargs back into the API.
+    """No internal call feeds ``CampaignSpec``'s deprecated trigger pair.
 
-    ``mode``/``burst_size``/``era`` were replaced by :class:`WorkloadSpec` and
-    era-pinned :class:`PlatformSpec` values (PRs 2-3); the shims warn external
-    callers, and this rule keeps the library itself honest.  The rule targets
-    the specific deprecated parameters per callee -- ``burst_size`` remains a
-    perfectly good parameter of ``WorkloadSpec.burst``, for example.
+    ``CampaignSpec.mode``/``burst_size`` were replaced by the ``workloads``
+    sweep dimension.  The pair stays because it is part of the fingerprinted
+    spec document (R002); only the ``campaign --mode/--burst-size`` CLI path
+    may still forward it.  The rule targets the specific deprecated
+    parameters per callee -- ``burst_size`` remains a perfectly good
+    parameter of ``WorkloadSpec.burst``, for example.
     """
 
     rule_id = "R006"
     name = "deprecated-kwarg"
     description = (
-        "no internal call sites passing the deprecated mode=/burst_size=/era= "
-        "kwargs to ExperimentConfig, CampaignSpec, run_benchmark, or "
-        "compare_platforms"
+        "no internal call sites passing the deprecated mode=/burst_size= "
+        "kwargs to CampaignSpec"
     )
 
     DEPRECATED: Mapping[str, frozenset] = {
-        "ExperimentConfig": frozenset({"mode", "burst_size", "era"}),
-        "run_benchmark": frozenset({"mode", "burst_size", "era"}),
-        "compare_platforms": frozenset({"mode", "burst_size"}),
         "CampaignSpec": frozenset({"mode", "burst_size"}),
     }
 
-    HINT = (
-        "pass workload=WorkloadSpec.… (or workloads=(…,)) and an era-pinned "
-        "platform spec ('aws@2022') instead"
-    )
+    HINT = "pass workloads=(WorkloadSpec.…,) instead"
 
     def check(self, module: LintModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

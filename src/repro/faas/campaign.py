@@ -139,23 +139,14 @@ class CampaignJob:
 
     @classmethod
     def from_dict(cls, document: Dict[str, object]) -> "CampaignJob":
+        # Job documents of earlier formats (a mode/burst_size pair, or a bare
+        # platform string) raise instead of being misread.
         memory_mb = document.get("memory_mb")
-        workload_doc = document.get("workload")
-        if workload_doc is not None:
-            workload = WorkloadSpec.from_dict(workload_doc)  # type: ignore[arg-type]
-        else:
-            # Legacy (v1) job documents carried a mode/burst_size pair.
-            workload = WorkloadSpec.from_mode(
-                str(document.get("mode", "burst")), int(document.get("burst_size", 30))
-            )
+        workload = WorkloadSpec.from_dict(document["workload"])  # type: ignore[arg-type]
         platform_doc = document["platform"]
-        if isinstance(platform_doc, str):
-            # Legacy (v1/v2) job documents carried a (platform, era) string pair.
-            platform = PlatformSpec(
-                base=platform_doc, era=str(document.get("era", DEFAULT_ERA))
-            )
-        else:
-            platform = PlatformSpec.from_dict(platform_doc)  # type: ignore[arg-type]
+        if not isinstance(platform_doc, dict):
+            raise TypeError(f"job platform {platform_doc!r} is not a platform spec document")
+        platform = PlatformSpec.from_dict(platform_doc)
         return cls(
             benchmark=str(document["benchmark"]),
             platform=platform,
@@ -263,7 +254,8 @@ class CampaignSpec:
                 for entry in self.workloads
             ))
         else:
-            coerce("workloads", (WorkloadSpec.from_mode(self.mode, self.burst_size),))
+            legacy = WorkloadSpec.burst if self.mode == "burst" else WorkloadSpec.warm
+            coerce("workloads", (legacy(self.burst_size),))
         if len({w.canonical() for w in self.workloads}) != len(self.workloads):
             raise ValueError("duplicate workloads in the sweep")
 

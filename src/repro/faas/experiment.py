@@ -16,7 +16,6 @@ executes every benchmark 180 times = 6 bursts of 30).
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -64,51 +63,26 @@ class ExperimentConfig:
     ``platform`` accepts a :class:`~repro.sim.platforms.spec.PlatformSpec`, a
     spec string (``"aws"``, ``"aws@2022"``,
     ``"azure@2024:cold_start=x1.5"``), or a registered scenario name; it is
-    normalised to a spec with the era pinned.  The deprecated ``era`` field
-    remains as a parse-through alias: legacy ``(platform="aws", era="2022")``
-    string pairs produce the exact same spec -- and bit-identical results --
-    as ``platform="aws@2022"``.  An era both in the spec and in ``era`` must
-    agree.
-
-    The workload is the source of truth for *what* is invoked; ``mode`` and
-    ``burst_size`` are deprecated aliases kept for backwards compatibility --
-    when no ``workload`` is given they are compiled into the equivalent
-    :class:`~repro.faas.workload.WorkloadSpec`, and they are back-filled from
-    the workload otherwise so old readers keep working.
+    normalised to a spec with the era pinned (the default era when the spec
+    names none).  ``workload`` accepts a
+    :class:`~repro.faas.workload.WorkloadSpec` or a CLI spec string and
+    defaults to the paper's burst of 30.
     """
 
     platform: Union[str, PlatformSpec] = "aws"
-    era: Optional[str] = None  # deprecated alias; see class docstring
     seed: int = 0
-    burst_size: int = 30
     repetitions: int = 1
-    mode: str = "burst"  # deprecated alias; see class docstring
     memory_mb: Optional[int] = None
     workload: Optional[Union[str, WorkloadSpec]] = None
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
-        spec = PlatformSpec.coerce(self.platform)
-        if spec.era is not None and self.era is not None and spec.era != self.era:
-            raise ValueError(
-                f"platform spec pins era {spec.era!r} but era={self.era!r} was "
-                f"also given; drop one of them"
-            )
-        resolved_era = spec.era or self.era or DEFAULT_ERA
-        self.platform = spec.with_era(resolved_era)
-        self.era = resolved_era
+        self.platform = PlatformSpec.coerce(self.platform).with_default_era()
         if self.workload is None:
-            if self.mode not in ("burst", "warm"):
-                raise ValueError(f"unknown trigger mode {self.mode!r}")
-            if self.burst_size < 1:
-                raise ValueError("burst size and repetitions must be positive")
-            self.workload = WorkloadSpec.from_mode(self.mode, self.burst_size)
-        else:
-            if isinstance(self.workload, str):
-                self.workload = WorkloadSpec.parse(self.workload)
-            self.mode = self.workload.kind
-            self.burst_size = self.workload.burst_size
+            self.workload = WorkloadSpec.burst()
+        elif isinstance(self.workload, str):
+            self.workload = WorkloadSpec.parse(self.workload)
 
     @property
     def platform_spec(self) -> PlatformSpec:
@@ -306,37 +280,12 @@ class ExperimentRunner:
         return result
 
 
-def _warn_deprecated_trigger_kwargs(
-    mode: Optional[str], burst_size: Optional[int], era: Optional[str] = None
-) -> None:
-    """One DeprecationWarning naming every legacy kwarg the caller passed.
-
-    Raised with ``stacklevel=3`` so the warning is attributed to the caller of
-    ``run_benchmark``/``compare_platforms`` -- which is what the test suite's
-    ``error::DeprecationWarning:repro\\..*`` filter keys on to keep deprecated
-    usage out of the library itself.
-    """
-    legacy = [name for name, value in (
-        ("mode", mode), ("burst_size", burst_size), ("era", era),
-    ) if value is not None]
-    if legacy:
-        warnings.warn(
-            f"the {', '.join(legacy)} keyword(s) are deprecated; pass a "
-            f"WorkloadSpec via workload= (e.g. WorkloadSpec.burst(30)) and an "
-            f"era-pinned platform spec (e.g. 'aws@2022') instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-
 def run_benchmark(
     benchmark: WorkflowBenchmark,
     platform: Union[str, PlatformSpec],
-    burst_size: Optional[int] = None,
+    *,
     repetitions: int = 1,
-    mode: Optional[str] = None,
     seed: int = 0,
-    era: Optional[str] = None,
     memory_mb: Optional[int] = None,
     workload: Optional[Union[str, WorkloadSpec]] = None,
 ) -> ExperimentResult:
@@ -345,21 +294,12 @@ def run_benchmark(
     ``platform`` accepts a :class:`~repro.sim.platforms.spec.PlatformSpec`, a
     spec string (``"aws@2022:cold_start=x1.5"``), or a scenario name;
     ``workload`` accepts a :class:`~repro.faas.workload.WorkloadSpec` or a CLI
-    spec string (``"poisson:rate=50,duration=120"``) and takes precedence over
-    the deprecated ``mode``/``burst_size``/``era`` trio, which now emits a
-    DeprecationWarning (behaviour is unchanged: the legacy values compile to
-    the equivalent workload / era-pinned spec bit-identically).
+    spec string (``"poisson:rate=50,duration=120"``).
     """
-    _warn_deprecated_trigger_kwargs(mode, burst_size, era)
-    # This wrapper IS the compatibility shim: it forwards the legacy trio it
-    # just warned about, so the deprecated-kwarg rule is waived here only.
     config = ExperimentConfig(
         platform=platform,
-        era=era,  # lint: allow[R006] -- the run_benchmark shim forwards legacy kwargs
         seed=seed,
-        burst_size=burst_size if burst_size is not None else 30,  # lint: allow[R006]
         repetitions=repetitions,
-        mode=mode if mode is not None else "burst",  # lint: allow[R006]
         memory_mb=memory_mb,
         workload=workload,
     )
@@ -369,9 +309,8 @@ def run_benchmark(
 def compare_platforms(
     benchmark: WorkflowBenchmark,
     platforms: Sequence[Union[str, PlatformSpec]] = ("gcp", "aws", "azure"),
-    burst_size: Optional[int] = None,
+    *,
     repetitions: int = 1,
-    mode: Optional[str] = None,
     seed: int = 0,
     era: Optional[str] = None,
     workload: Optional[Union[str, WorkloadSpec]] = None,
@@ -380,19 +319,12 @@ def compare_platforms(
 
     ``platforms`` entries are platform specs (objects, spec strings, or
     scenario names); the returned dict is keyed by each entry's canonical
-    form, so plain names keep their legacy keys (``"aws"``) while
+    form, so plain names keep their plain keys (``"aws"``) while
     ``"aws@2022"``-style variants stay distinguishable.  ``era`` applies to
     era-less entries only (a spec's own era wins, matching the campaign's
-    pinned-entry semantics); ``mode``/``burst_size`` are deprecated aliases
-    for ``workload``.
+    pinned-entry semantics).
     """
-    _warn_deprecated_trigger_kwargs(mode, burst_size)
-    if workload is None:
-        workload = WorkloadSpec.from_mode(
-            mode if mode is not None else "burst",
-            burst_size if burst_size is not None else 30,
-        )
-    elif isinstance(workload, str):
+    if isinstance(workload, str):
         workload = WorkloadSpec.parse(workload)
     specs = [PlatformSpec.coerce(platform) for platform in platforms]
     keys = [spec.canonical() for spec in specs]

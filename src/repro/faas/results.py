@@ -75,21 +75,23 @@ def measurement_from_dict(document: Dict[str, object]) -> WorkflowMeasurement:
 
 
 def result_to_dict(result: ExperimentResult) -> Dict[str, object]:
+    platform_spec = result.config.platform_spec
+    workload = result.config.workload_spec
     document: Dict[str, object] = {
         "benchmark": result.benchmark,
         "platform": result.platform,
         "config": {
-            # "platform"/"era" stay as plain strings for legacy readers; the
-            # full spec (base, era, overrides) round-trips via "platform_spec".
+            # "platform"/"era"/"burst_size"/"mode" are flat copies kept in the
+            # document format; the decoder reads "platform_spec" and "workload".
             "platform": result.config.platform_name,
-            "era": result.config.era,
-            "platform_spec": result.config.platform_spec.to_dict(),
+            "era": platform_spec.era,
+            "platform_spec": platform_spec.to_dict(),
             "seed": result.config.seed,
-            "burst_size": result.config.burst_size,
+            "burst_size": workload.burst_size,
             "repetitions": result.config.repetitions,
-            "mode": result.config.mode,
+            "mode": workload.kind,
             "memory_mb": result.config.memory_mb,
-            "workload": result.config.workload_spec.to_dict(),
+            "workload": workload.to_dict(),
         },
         "measurements": [measurement_to_dict(m) for m in result.measurements],
         "containers_created": result.containers_created,
@@ -164,25 +166,10 @@ def result_from_dict(document: Dict[str, object]) -> ExperimentResult:
     """
     config_doc = dict(document["config"])  # type: ignore[arg-type]
     memory_mb = config_doc.get("memory_mb")
-    workload_doc = config_doc.get("workload")
-    if workload_doc is not None:
-        workload = WorkloadSpec.from_dict(workload_doc)  # type: ignore[arg-type]
-    else:
-        # Legacy documents predate the workload subsystem: reconstruct the
-        # equivalent spec from the deprecated mode/burst_size pair.
-        workload = WorkloadSpec.from_mode(
-            str(config_doc.get("mode", "burst")), int(config_doc.get("burst_size", 30))
-        )
-    spec_doc = config_doc.get("platform_spec")
-    if spec_doc is not None:
-        platform = PlatformSpec.from_dict(spec_doc)  # type: ignore[arg-type]
-    else:
-        # Legacy documents identify the platform by a (name, era) string
-        # pair; fold the era into an era-pinned spec instead of the
-        # deprecated era= kwarg -- same normalisation, same results.
-        platform = PlatformSpec(
-            base=str(config_doc["platform"]), era=str(config_doc["era"])
-        )
+    # Documents predating the workload and platform-spec fields raise a
+    # KeyError here, which the cell cache treats as a miss.
+    workload = WorkloadSpec.from_dict(config_doc["workload"])  # type: ignore[arg-type]
+    platform = PlatformSpec.from_dict(config_doc["platform_spec"])  # type: ignore[arg-type]
     config = ExperimentConfig(
         platform=platform,
         seed=int(config_doc["seed"]),
@@ -326,7 +313,7 @@ def iter_campaign_cell_results(
     (``CampaignResult.to_dict(include_results=True)``): each cell's ``result``
     entry is parsed with :func:`result_from_dict` and yielded with its job
     coordinates.  Summary-only cells (no ``result`` entry) are skipped, so the
-    iterator degrades gracefully over partial or legacy documents.
+    iterator degrades gracefully over partial or summary-only documents.
     """
     for entry in document.get("cells", []):  # type: ignore[union-attr]
         if not isinstance(entry, dict):

@@ -196,25 +196,6 @@ class WorkloadSpec:
             raise ValueError(f"trace has {len(arrivals)} arrivals (cap: {MAX_ARRIVALS})")
         return cls._build("trace", {"timestamps": arrivals})
 
-    @classmethod
-    def from_mode(
-        cls,
-        mode: str,
-        burst_size: int = 30,
-        trigger_jitter_s: float = 0.05,
-        settle_s: float = 5.0,
-    ) -> "WorkloadSpec":
-        """Adapter for the legacy ``mode``/``burst_size`` configuration pair."""
-        if mode == "burst":
-            return cls.burst(burst_size=burst_size, trigger_jitter_s=trigger_jitter_s)
-        if mode == "warm":
-            return cls.warm(
-                burst_size=burst_size,
-                trigger_jitter_s=trigger_jitter_s,
-                settle_s=settle_s,
-            )
-        raise ValueError(f"unknown trigger mode {mode!r}")
-
     # ----------------------------------------------------------------- parsing
     @classmethod
     def parse(cls, text: str) -> "WorkloadSpec":
@@ -285,11 +266,6 @@ class WorkloadSpec:
             timestamps = self.param("timestamps", ())
             return float(timestamps[-1]) if timestamps else 0.0  # type: ignore[index]
         return float(self.param("duration", 0.0))  # type: ignore[arg-type]
-
-    @property
-    def mode(self) -> str:
-        """Legacy ``mode`` string this spec maps onto (the kind itself)."""
-        return self.kind
 
     # ------------------------------------------------------------ serialisation
     def canonical(self) -> str:

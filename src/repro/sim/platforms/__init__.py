@@ -14,7 +14,6 @@ from .spec import (
     available_eras,
     available_platforms,
     available_scenarios,
-    get_profile,
     load_scenarios,
     register_era,
     register_platform,
@@ -37,7 +36,6 @@ __all__ = [
     "aws_profile",
     "azure_profile",
     "gcp_profile",
-    "get_profile",
     "hpc_profile",
     "load_scenarios",
     "register_era",

@@ -14,8 +14,8 @@ changed between the two measurement campaigns (Figure 16):
 
 Anything beyond the builtin grid -- hypothetical platforms, extrapolated
 eras, scenario files -- goes through :class:`~.spec.PlatformSpec` and the
-``register_platform`` / ``register_era`` / ``register_scenario`` hooks.
-:func:`get_profile` remains as a thin deprecated shim over the spec API.
+``register_platform`` / ``register_era`` / ``register_scenario`` hooks;
+resolve a builtin profile with ``resolve_platform("aws@2022")``.
 """
 
 from __future__ import annotations
@@ -27,16 +27,7 @@ from .azure import azure_profile
 from .base import PlatformProfile
 from .gcp import gcp_profile
 from .hpc import hpc_profile
-from .spec import (  # noqa: F401  (re-exported for backwards compatibility)
-    DEFAULT_ERA,
-    _finalize_builtins,
-    available_eras,
-    available_platforms,
-    available_scenarios,
-    get_profile,
-    register_era,
-    register_platform,
-)
+from .spec import _finalize_builtins, register_era, register_platform
 
 ERAS = ("2022", "2024")
 CLOUD_PLATFORMS = ("aws", "gcp", "azure")

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-import warnings
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -358,10 +357,8 @@ class PlatformSpec:
     def with_default_era(self, era: Optional[str] = None) -> "PlatformSpec":
         """Era-resolve this spec: keep a pinned era, apply ``era`` otherwise.
 
-        The sanctioned replacement for the deprecated ``era=`` keyword pair:
-        an era both pinned in the spec and passed as ``era`` must agree
-        (matching :class:`~repro.faas.experiment.ExperimentConfig`'s conflict
-        check); an era-less spec falls back to ``era`` or ``DEFAULT_ERA``.
+        An era both pinned in the spec and passed as ``era`` must agree; an
+        era-less spec falls back to ``era`` or ``DEFAULT_ERA``.
         """
         if era is not None and self.era is not None and str(era) != self.era:
             raise ValueError(
@@ -736,20 +733,3 @@ def available_scenarios() -> Dict[str, PlatformSpec]:
     """Registered scenario names mapped to their (expanded) specs."""
     _ensure_builtins()
     return dict(sorted(_SCENARIOS.items()))
-
-
-def get_profile(platform: str, era: str = DEFAULT_ERA) -> PlatformProfile:
-    """Deprecated: resolve a ``(platform, era)`` string pair to a profile.
-
-    Kept as a thin shim over ``PlatformSpec(base=platform, era=era).resolve()``
-    for callers predating the spec API.
-    """
-    warnings.warn(
-        "get_profile(platform, era) is deprecated; use "
-        "PlatformSpec.parse(f'{platform}@{era}').resolve() or resolve_platform()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if era not in available_eras():
-        raise KeyError(f"unknown era {era!r}; available: {available_eras()}")
-    return PlatformSpec(base=platform, era=era).resolve()

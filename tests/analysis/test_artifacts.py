@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import artifacts, figures, tables
+from repro.analysis import artifacts, tables
 from repro.analysis.stats import coefficient_of_variation
 from repro.benchmarks import get_benchmark
 from repro.faas import (
@@ -130,14 +130,13 @@ class TestGoldenEquivalence:
     def _legacy_results(self):
         """The pre-pipeline ``_run`` path: direct run_benchmark at seed 0."""
         results = {}
-        with pytest.warns(DeprecationWarning):
-            for name in ("mapreduce",):
-                results[name] = {}
-                for platform in ("gcp", "aws", "azure"):
-                    results[name][platform] = run_benchmark(
-                        get_benchmark(name), platform, burst_size=3,
-                        repetitions=1, mode="burst", seed=0, era="2024",
-                    )
+        for name in ("mapreduce",):
+            results[name] = {}
+            for platform in ("gcp", "aws", "azure"):
+                results[name][platform] = run_benchmark(
+                    get_benchmark(name), f"{platform}@2024", repetitions=1,
+                    seed=0, workload=WorkloadSpec.burst(3),
+                )
         return results
 
     def test_figure7_bit_identical_to_legacy(self, pipeline_campaign):
@@ -160,10 +159,6 @@ class TestGoldenEquivalence:
         pipeline = artifacts.get_artifact("table5").build(pipeline_campaign, SMALL)
         legacy = tables.table5_cold_starts_and_transitions(self._legacy_results())
         assert pipeline == legacy
-
-    def test_legacy_shim_goes_through_the_pipeline(self, pipeline_campaign):
-        shim = figures.figure7_runtime(benchmarks=["mapreduce"], burst_size=3, seed=0)
-        assert shim == artifacts.get_artifact("figure7").build(pipeline_campaign, SMALL)
 
 
 class TestPartialRendering:

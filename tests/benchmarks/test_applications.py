@@ -11,11 +11,11 @@ from repro.benchmarks.registry import (
     benchmark_names,
 )
 from repro.faas import Deployment
-from repro.sim import Platform, get_profile
+from repro.sim import Platform, resolve_platform
 
 
 def run_once(benchmark, platform_name="aws", seed=1, invocation="t0"):
-    platform = Platform(get_profile(platform_name), seed=seed)
+    platform = Platform(resolve_platform(platform_name), seed=seed)
     deployment = Deployment.deploy(benchmark, platform)
     result = deployment.invoke_once(invocation)
     return result, deployment

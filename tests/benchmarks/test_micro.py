@@ -4,11 +4,11 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.faas import Deployment
-from repro.sim import Platform, get_profile
+from repro.sim import Platform, resolve_platform
 
 
 def run_once(benchmark, platform_name="aws", seed=1):
-    platform = Platform(get_profile(platform_name), seed=seed)
+    platform = Platform(resolve_platform(platform_name), seed=seed)
     deployment = Deployment.deploy(benchmark, platform)
     return deployment.invoke_once("m0"), deployment
 
@@ -27,7 +27,7 @@ class TestFunctionChain:
         sizes = {}
         for platform in ("aws", "azure"):
             benchmark = get_benchmark("function_chain", length=10, payload_bytes=131_072)
-            platform_obj = Platform(get_profile(platform), seed=2)
+            platform_obj = Platform(resolve_platform(platform), seed=2)
             deployment = Deployment.deploy(benchmark, platform_obj)
             deployment.invoke_once("big")
             sizes[platform] = deployment.measurement("big").runtime

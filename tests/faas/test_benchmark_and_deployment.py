@@ -5,7 +5,7 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.core import WorkflowDefinition
 from repro.faas import Deployment, WorkflowBenchmark
-from repro.sim import FunctionSpec, Platform, get_profile
+from repro.sim import FunctionSpec, Platform, resolve_platform
 
 
 def tiny_benchmark() -> WorkflowBenchmark:
@@ -63,26 +63,26 @@ class TestDeployment:
     def test_deploy_transcribes_for_cloud_platforms(self):
         benchmark = get_benchmark("mapreduce")
         for platform_name in ("aws", "gcp", "azure"):
-            platform = Platform(get_profile(platform_name), seed=1)
+            platform = Platform(resolve_platform(platform_name), seed=1)
             deployment = Deployment.deploy(benchmark, platform)
             assert deployment.transcription is not None
             assert deployment.transcription.platform == platform_name
 
     def test_deploy_skips_transcription_for_hpc(self):
         benchmark = tiny_benchmark()
-        platform = Platform(get_profile("hpc"), seed=1)
+        platform = Platform(resolve_platform("hpc"), seed=1)
         deployment = Deployment.deploy(benchmark, platform)
         assert deployment.transcription is None
 
     def test_prepare_stages_benchmark_data(self):
         benchmark = get_benchmark("video_analysis")
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         Deployment.deploy(benchmark, platform)
         assert platform.object_storage.exists("video/input.mp4")
 
     def test_invoke_once_returns_result_and_measurement(self):
         benchmark = tiny_benchmark()
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         deployment = Deployment.deploy(benchmark, platform)
         result = deployment.invoke_once("inv-7")
         assert result.output == {"echo": {"index": 0}}
@@ -92,7 +92,7 @@ class TestDeployment:
 
     def test_stats_lookup_by_invocation(self):
         benchmark = tiny_benchmark()
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         deployment = Deployment.deploy(benchmark, platform)
         deployment.invoke_once("inv-1")
         assert deployment.stats_for("inv-1").activity_count == 1
@@ -101,7 +101,7 @@ class TestDeployment:
 
     def test_multiple_invocations_tracked_separately(self):
         benchmark = tiny_benchmark()
-        platform = Platform(get_profile("azure"), seed=1)
+        platform = Platform(resolve_platform("azure"), seed=1)
         deployment = Deployment.deploy(benchmark, platform)
         deployment.invoke_once("a")
         deployment.invoke_once("b")

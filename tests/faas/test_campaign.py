@@ -12,6 +12,7 @@ from repro.faas import (
     CampaignSpec,
     ExperimentConfig,
     ExperimentRunner,
+    WorkloadSpec,
     derive_job_seed,
     result_from_dict,
     result_to_dict,
@@ -130,7 +131,7 @@ class TestCampaignExecution:
         campaign = run_campaign(spec, workers=1)
         job = spec.expand()[0]
         direct = run_benchmark(
-            get_benchmark("mapreduce"), "aws", burst_size=2, seed=job.seed
+            get_benchmark("mapreduce"), "aws", workload=WorkloadSpec.burst(2), seed=job.seed
         )
         assert campaign.cell("mapreduce", "aws").median_runtime == \
             pytest.approx(direct.median_runtime)
@@ -563,6 +564,40 @@ class TestPlatformSpecSweep:
         rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)
         assert rerun.cache_hits == 0
 
+    @pytest.mark.parametrize("field", ["workload", "platform_spec"])
+    def test_v3_entries_without_spec_fields_are_cache_misses(self, tmp_path, field):
+        """A current-version entry in an earlier result shape is a miss: the
+        cell is recomputed, never misread from the flat mode/burst_size/era
+        copies that documents still carry."""
+        from repro.faas.campaign import _cache_path
+
+        spec = small_spec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,))
+        job = spec.expand()[0]
+        run_campaign(spec, workers=1, cache_dir=tmp_path)
+        path = _cache_path(tmp_path, job)
+        fresh_entry = path.read_text()
+        stale = json.loads(fresh_entry)
+        del stale["result"]["config"][field]
+        path.write_text(json.dumps(stale))
+        rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)
+        assert rerun.cache_hits == 0
+        # The recomputed cell rewrote the entry with a fresh run's document.
+        assert path.read_text() == fresh_entry
+        assert result_to_dict(rerun.cells[0].result) == json.loads(fresh_entry)["result"]
+
+    def test_earlier_job_documents_are_rejected(self):
+        """v1 job documents (mode/burst_size, bare platform) and v2 ones (a
+        workload but a bare platform string) raise instead of decoding."""
+        job = small_spec(benchmarks=("mapreduce",), platforms=("aws",)).expand()[0]
+        current = json.loads(json.dumps(job.to_dict()))
+        v1 = {key: value for key, value in current.items() if key != "workload"}
+        v1.update(platform="aws", mode="burst", burst_size=2)
+        v2 = dict(current, platform="aws")
+        with pytest.raises(KeyError):
+            type(job).from_dict(v1)
+        with pytest.raises(TypeError):
+            type(job).from_dict(v2)
+
     def test_scenario_cells_run_in_worker_processes(self, tmp_path):
         """Scenario specs are expanded before cells ship to workers, so the
         worker processes never need the parent's scenario registry."""
@@ -737,7 +772,8 @@ class TestPlatformSpecSweep:
 class TestResultRoundTrip:
     def test_result_survives_serialisation(self):
         result = ExperimentRunner(
-            ExperimentConfig(platform="azure", burst_size=3, repetitions=2, seed=4)
+            ExperimentConfig(platform="azure", workload=WorkloadSpec.burst(3),
+                             repetitions=2, seed=4)
         ).run(get_benchmark("mapreduce"))
         document = json.loads(json.dumps(result_to_dict(result)))
         restored = result_from_dict(document)

@@ -29,7 +29,7 @@ from repro.faas import (
     run_benchmark,
     run_campaign,
 )
-from repro.sim import Platform, get_profile
+from repro.sim import Platform, resolve_platform
 from repro.sim.rng import RandomStreams
 
 
@@ -39,12 +39,6 @@ class TestWorkloadSpec:
         assert spec.kind == "burst"
         assert spec.burst_size == 30
         assert not spec.is_open_loop
-
-    def test_from_mode_round_trip(self):
-        assert WorkloadSpec.from_mode("burst", 7) == WorkloadSpec.burst(burst_size=7)
-        assert WorkloadSpec.from_mode("warm", 7) == WorkloadSpec.warm(burst_size=7)
-        with pytest.raises(ValueError):
-            WorkloadSpec.from_mode("chaotic")
 
     def test_invalid_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +174,8 @@ class TestPinnedClosedLoopRegression:
     """
 
     def test_burst_summary_pinned(self):
-        result = run_benchmark(get_benchmark("mapreduce"), "aws", burst_size=5, seed=1)
+        result = run_benchmark(get_benchmark("mapreduce"), "aws",
+                               workload=WorkloadSpec.burst(5), seed=1)
         assert result.summary.median_runtime == pytest.approx(
             11.249266536289934, rel=1e-12
         )
@@ -198,7 +193,7 @@ class TestPinnedClosedLoopRegression:
 
     def test_warm_summary_pinned(self):
         result = run_benchmark(
-            get_benchmark("mapreduce"), "aws", burst_size=5, seed=1, mode="warm"
+            get_benchmark("mapreduce"), "aws", workload=WorkloadSpec.warm(5), seed=1
         )
         assert result.summary.median_runtime == pytest.approx(
             5.309419059556355, rel=1e-12
@@ -212,7 +207,7 @@ class TestPinnedClosedLoopRegression:
         )
 
     def test_second_platform_pinned(self):
-        result = run_benchmark(get_benchmark("ml"), "gcp", burst_size=4, seed=9)
+        result = run_benchmark(get_benchmark("ml"), "gcp", workload=WorkloadSpec.burst(4), seed=9)
         assert result.summary.median_runtime == pytest.approx(
             13.451148771581966, rel=1e-12
         )
@@ -223,11 +218,11 @@ class TestPinnedClosedLoopRegression:
 
     def test_executor_matches_legacy_triggers(self):
         benchmark = get_benchmark("mapreduce")
-        legacy_platform = Platform(get_profile("aws"), seed=4)
+        legacy_platform = Platform(resolve_platform("aws"), seed=4)
         legacy = Deployment.deploy(benchmark, legacy_platform)
         legacy_ids = BurstTrigger(TriggerConfig(burst_size=4)).fire(legacy)
 
-        new_platform = Platform(get_profile("aws"), seed=4)
+        new_platform = Platform(resolve_platform("aws"), seed=4)
         new = Deployment.deploy(benchmark, new_platform)
         new_ids = WorkloadExecutor(WorkloadSpec.burst(burst_size=4)).execute(new)
 
@@ -248,7 +243,7 @@ class TestWarmSettle:
         benchmark = get_benchmark("mapreduce")
 
         def measured_start(settle: float) -> float:
-            platform = Platform(get_profile("aws"), seed=6)
+            platform = Platform(resolve_platform("aws"), seed=6)
             deployment = Deployment.deploy(benchmark, platform)
             trigger = WarmTrigger(TriggerConfig(burst_size=3, settle_s=settle))
             ids = trigger.fire(deployment)
@@ -287,7 +282,7 @@ class TestPlatformSeeding:
     def test_invocation_ids_are_collision_free_across_repetitions(self):
         assert invocation_id_base("ml", 0) == "ml"
         assert invocation_id_base("ml", 3) == "ml-r3"
-        result = run_benchmark(get_benchmark("ml"), "aws", burst_size=3,
+        result = run_benchmark(get_benchmark("ml"), "aws", workload=WorkloadSpec.burst(3),
                                repetitions=3, seed=2)
         ids = [m.invocation_id for m in result.measurements]
         assert len(set(ids)) == len(ids) == 9
@@ -298,7 +293,7 @@ class TestPlatformSeeding:
         from repro.faas.trigger import INVOCATION_INDEX_STRIDE
 
         benchmark = get_benchmark("mapreduce")
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         deployment = Deployment.deploy(benchmark, platform)
         recorded = []
         original = deployment.invoke_process
@@ -316,26 +311,16 @@ class TestPlatformSeeding:
         assert sorted(recorded[3:]) == [INVOCATION_INDEX_STRIDE + i for i in range(3)]
 
 
-class TestExperimentConfigAliases:
-    def test_mode_compiles_into_workload(self):
-        config = ExperimentConfig(mode="warm", burst_size=7)
-        assert config.workload_spec == WorkloadSpec.warm(burst_size=7)
-
+class TestExperimentConfigWorkload:
     def test_workload_string_is_parsed(self):
         config = ExperimentConfig(workload="poisson:rate=3,duration=20")
         assert config.workload_spec == WorkloadSpec.poisson(rate=3, duration=20)
-        assert config.mode == "poisson"
 
-    def test_workload_backfills_deprecated_aliases(self):
-        config = ExperimentConfig(workload=WorkloadSpec.burst(burst_size=12))
-        assert config.mode == "burst"
-        assert config.burst_size == 12
-
-    def test_legacy_validation_still_applies(self):
+    def test_validation_still_applies(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(mode="chaotic")
+            ExperimentConfig(workload="chaotic")
         with pytest.raises(ValueError):
-            ExperimentConfig(burst_size=0)
+            ExperimentConfig(workload="burst:burst_size=0")
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
 
@@ -357,7 +342,7 @@ class TestOpenLoopExperiments:
 
     def test_closed_loop_run_has_no_open_loop_summary(self):
         result = run_benchmark(get_benchmark("function_chain"), "aws",
-                               burst_size=3, seed=3)
+                               workload=WorkloadSpec.burst(3), seed=3)
         assert result.open_loop is None
 
     def test_open_loop_run_is_deterministic(self):
@@ -389,13 +374,15 @@ class TestOpenLoopExperiments:
         assert restored.open_loop is not None
         assert restored.open_loop.as_row() == result.open_loop.as_row()
 
-    def test_legacy_documents_without_workload_still_load(self):
-        result = run_benchmark(get_benchmark("mapreduce"), "aws", burst_size=3, seed=1)
+    def test_documents_without_workload_are_rejected(self):
+        """Documents predating the workload field raise instead of being
+        misread from their flat mode/burst_size copies."""
+        result = run_benchmark(get_benchmark("mapreduce"), "aws", seed=1,
+                               workload=WorkloadSpec.burst(3))
         document = json.loads(json.dumps(result_to_dict(result)))
         del document["config"]["workload"]
-        restored = result_from_dict(document)
-        assert restored.config.workload_spec == WorkloadSpec.burst(burst_size=3)
-        assert restored.open_loop is None
+        with pytest.raises(KeyError):
+            result_from_dict(document)
 
 
 class TestOpenLoopSummaryMath:

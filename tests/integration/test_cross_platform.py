@@ -8,19 +8,26 @@ absolute numbers.
 import pytest
 
 from repro.analysis import figures
+from repro.analysis.artifacts import ArtifactConfig, execute_plan, get_artifact, plan_artifacts
 from repro.benchmarks import get_benchmark
-from repro.faas import run_benchmark, split_warm_cold
+from repro.faas import WorkloadSpec, run_benchmark, split_warm_cold
 
 BURST = 10
 SEED = 11
+CONFIG = ArtifactConfig(
+    burst_size=BURST, seed=SEED, benchmarks=("mapreduce", "ml", "video_analysis")
+)
 
 
 @pytest.fixture(scope="module")
-def campaign():
+def e1_campaign():
     """A shared small-scale run of three representative application benchmarks."""
-    return figures.application_comparison(
-        ["mapreduce", "ml", "video_analysis"], burst_size=BURST, seed=SEED
-    )
+    return execute_plan(plan_artifacts(["figure7"], CONFIG), workers=1)
+
+
+@pytest.fixture(scope="module")
+def campaign(e1_campaign):
+    return figures.collect_e1(e1_campaign, CONFIG)
 
 
 class TestRQ1Runtime:
@@ -68,8 +75,10 @@ class TestRQ2OverheadAndCriticalPath:
             assert cold["azure"] < 0.15, benchmark
 
     def test_warm_invocations_shorten_critical_path(self):
-        cold = run_benchmark(get_benchmark("ml"), "aws", burst_size=BURST, seed=SEED)
-        warm = run_benchmark(get_benchmark("ml"), "aws", burst_size=BURST, seed=SEED, mode="warm")
+        cold = run_benchmark(get_benchmark("ml"), "aws", seed=SEED,
+                             workload=WorkloadSpec.burst(BURST))
+        warm = run_benchmark(get_benchmark("ml"), "aws", seed=SEED,
+                             workload=WorkloadSpec.warm(BURST))
         warm_only = split_warm_cold(warm.measurements)["warm"]
         assert warm_only, "warm trigger produced no fully warm invocations"
         warm_crit = sorted(m.critical_path() for m in warm_only)[len(warm_only) // 2]
@@ -90,8 +99,8 @@ class TestScalingProfiles:
 
 
 class TestRQ4Pricing:
-    def test_pricing_shapes(self, campaign):
-        pricing = figures.figure15_pricing(campaign)
+    def test_pricing_shapes(self, e1_campaign):
+        pricing = get_artifact("figure15").build(e1_campaign, CONFIG)
         # GCP is the most expensive platform for MapReduce (many state transitions).
         mapreduce = pricing["mapreduce"]
         assert mapreduce["gcp"]["total_usd"] == max(v["total_usd"] for v in mapreduce.values())
@@ -103,7 +112,8 @@ class TestRQ4Pricing:
         assert mapreduce["gcp"]["orchestration_usd"] > mapreduce["aws"]["orchestration_usd"]
 
     def test_trip_booking_nosql_cost_share(self):
-        result = run_benchmark(get_benchmark("trip_booking"), "aws", burst_size=5, seed=SEED)
+        result = run_benchmark(get_benchmark("trip_booking"), "aws", seed=SEED,
+                               workload=WorkloadSpec.burst(5))
         breakdown = result.cost.per_1000_executions
         assert breakdown.nosql_usd > 0
         assert breakdown.nosql_usd < 0.2 * breakdown.total_usd

@@ -2,15 +2,22 @@
 
 import pytest
 
-from repro.analysis import figures
+from repro.analysis.artifacts import ArtifactConfig, execute_plan, plan_artifacts
 
 SEED = 5
 
 
+def build_figure(name, **overrides):
+    """Plan one figure with per-artifact overrides, execute it serially, build it."""
+    config = ArtifactConfig(seed=SEED).with_overrides(name, **overrides)
+    plan = plan_artifacts([name], config)
+    return plan.artifacts[0].build(execute_plan(plan, workers=1), config)
+
+
 class TestFigure9aStorage:
     def test_azure_overhead_explodes_with_download_size(self):
-        series = figures.figure9a_storage_overhead(
-            download_sizes=(1 << 20, 1 << 27), num_functions=20, burst_size=8, seed=SEED
+        series = build_figure(
+            "figure9a", download_sizes=(1 << 20, 1 << 27), num_functions=20, burst_size=8,
         )
         azure_small = series["azure"][0]["median_overhead_s"]
         azure_large = series["azure"][1]["median_overhead_s"]
@@ -23,8 +30,8 @@ class TestFigure9aStorage:
 
 class TestFigure9bPayload:
     def test_azure_latency_grows_beyond_16kb(self):
-        series = figures.figure9b_payload_latency(
-            payload_sizes=(1 << 8, 1 << 17), chain_length=5, burst_size=5, seed=SEED
+        series = build_figure(
+            "figure9b", payload_sizes=(1 << 8, 1 << 17), chain_length=5, burst_size=5,
         )
         azure_small = series["azure"][0]["median_latency_s"]
         azure_large = series["azure"][1]["median_latency_s"]
@@ -35,8 +42,8 @@ class TestFigure9bPayload:
 
 class TestFigure10ParallelSleep:
     def test_relative_overhead_ordering(self):
-        heatmaps = figures.figure10_parallel_sleep(
-            parallelism=(2, 8), durations_s=(1.0,), burst_size=10, seed=SEED
+        heatmaps = build_figure(
+            "figure10", parallelism=(2, 8), durations_s=(1.0,), burst_size=10,
         )
         azure = heatmaps["azure"]["N=8,T=1"]["relative_overhead"]
         gcp = heatmaps["gcp"]["N=8,T=1"]["relative_overhead"]
@@ -45,8 +52,8 @@ class TestFigure10ParallelSleep:
         assert aws < 2.5
 
     def test_aws_overhead_shrinks_with_longer_sleeps(self):
-        heatmaps = figures.figure10_parallel_sleep(
-            parallelism=(4,), durations_s=(1.0, 10.0), burst_size=5, seed=SEED
+        heatmaps = build_figure(
+            "figure10", parallelism=(4,), durations_s=(1.0, 10.0), burst_size=5,
         )
         short = heatmaps["aws"]["N=4,T=1"]["relative_overhead"]
         long = heatmaps["aws"]["N=4,T=10"]["relative_overhead"]
@@ -55,8 +62,8 @@ class TestFigure10ParallelSleep:
 
 class TestFigure13Noise:
     def test_suspension_curves_and_normalisation(self):
-        data = figures.figure13_os_noise(memory_configurations=(128, 1024, 2048), events=1000,
-                                         seed=SEED)
+        data = build_figure("figure13", memory_configurations=(128, 1024, 2048),
+                            events=1000)
         aws_curve = {point["memory_mb"]: point for point in data["suspension"]["aws"]}
         assert aws_curve[128]["measured_suspension"] > aws_curve[2048]["measured_suspension"]
         azure_curve = {point["memory_mb"]: point for point in data["suspension"]["azure"]}
@@ -68,8 +75,8 @@ class TestFigure13Noise:
 
 class TestFigure14ScientificWorkflows:
     def test_hpc_much_faster_and_clouds_scale(self):
-        data = figures.figure14_genome_scaling(job_counts=(5, 10), burst_size=2, seed=SEED,
-                                               platforms=("aws", "hpc"))
+        data = build_figure("figure14", job_counts=(5, 10), burst_size=2,
+                            platforms=("aws", "hpc"))
         assert data["full_workflow"]["hpc"]["mean_runtime_s"] < (
             data["full_workflow"]["aws"]["mean_runtime_s"] / 5
         )
@@ -79,8 +86,8 @@ class TestFigure14ScientificWorkflows:
 
 class TestFigure16Evolution:
     def test_azure_ml_overhead_halved_between_eras(self):
-        data = figures.figure16_evolution(benchmarks=("ml",), burst_size=8, seed=SEED,
-                                          platforms=("azure", "aws"))
+        data = build_figure("figure16", benchmarks=("ml",), burst_size=8,
+                            platforms=("azure", "aws"))
         azure = data["ml"]["azure"]
         assert azure["2022"]["median_overhead_s"] > 1.5 * azure["2024"]["median_overhead_s"]
         aws = data["ml"]["aws"]

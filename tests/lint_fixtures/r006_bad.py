@@ -1,20 +1,11 @@
-"""R006 positive fixture: internal call sites feeding deprecated kwargs back."""
+"""R006 positive fixture: internal call sites feeding CampaignSpec's deprecated pair."""
 
-from repro.faas import CampaignSpec, compare_platforms, run_benchmark
-from repro.faas.experiment import ExperimentConfig
-
-
-def legacy_config():
-    return ExperimentConfig(platform="aws", era="2022", mode="warm", burst_size=10)
-
-
-def legacy_run(benchmark):
-    return run_benchmark(benchmark, "aws", mode="burst", burst_size=30)
-
-
-def legacy_compare(benchmark):
-    return compare_platforms(benchmark, mode="warm", burst_size=5)
+from repro.faas import CampaignSpec
 
 
 def legacy_campaign():
     return CampaignSpec(benchmarks=("ml",), mode="burst", burst_size=30)
+
+
+def legacy_warm_campaign():
+    return CampaignSpec(benchmarks=("ml",), mode="warm")

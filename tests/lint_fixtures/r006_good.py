@@ -1,21 +1,6 @@
-"""R006 negative fixture: the modern workload/platform-spec call style."""
+"""R006 negative fixture: the workload-sweep call style."""
 
-from repro.faas import CampaignSpec, WorkloadSpec, compare_platforms, run_benchmark
-from repro.faas.experiment import ExperimentConfig
-
-
-def modern_config():
-    return ExperimentConfig(platform="aws@2022", workload=WorkloadSpec.burst(10))
-
-
-def modern_run(benchmark):
-    return run_benchmark(benchmark, "aws@2022", workload="burst:burst_size=30")
-
-
-def modern_compare(benchmark):
-    # era= is NOT deprecated on compare_platforms: it pins one era across
-    # every compared platform, which no single platform spec can express.
-    return compare_platforms(benchmark, era="2022", workload=WorkloadSpec.burst(5))
+from repro.faas import CampaignSpec, WorkloadSpec
 
 
 def modern_campaign():

@@ -15,6 +15,7 @@ from repro.benchmarks import get_benchmark
 from repro.faas import (
     CampaignSpec,
     GridRun,
+    WorkloadSpec,
     merge_run,
     run_benchmark,
     run_campaign,
@@ -111,9 +112,11 @@ class TestPinnedGolden:
     def test_pr3_golden_number_survives_every_telemetry_mode(self, mode, tmp_path):
         with _telemetry(mode, tmp_path) as registry:
             result = run_benchmark(
-                get_benchmark("mapreduce"), "aws@2022", burst_size=3, seed=0
+                get_benchmark("mapreduce"), "aws@2022", seed=0,
+                workload=WorkloadSpec.burst(3),
             )
             assert result.median_runtime == 11.722144092900013
+            assert result.cost.per_execution.total_usd == 0.0004624146823211932
             if registry is not None:
                 # The engine monitor was genuinely live while the golden ran.
                 assert registry.counter(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import WorkflowDefinition
-from repro.sim import FunctionSpec, Platform, get_profile
+from repro.sim import FunctionSpec, Platform, resolve_platform
 from repro.sim.orchestration.events import OrchestrationError, payload_size_bytes, resolve_array
 
 
@@ -81,7 +81,7 @@ class TestLoopSemantics:
     @pytest.mark.parametrize("platform_name", ["aws", "gcp", "azure"])
     def test_loop_processes_items_sequentially(self, platform_name):
         log = []
-        platform = Platform(get_profile(platform_name), seed=2)
+        platform = Platform(resolve_platform(platform_name), seed=2)
         result, _ = platform.run_workflow(loop_definition(), loop_functions(log), {})
         assert result == {"total": 60}
         assert [entry[1] for entry in log] == [1, 2, 3]
@@ -89,7 +89,7 @@ class TestLoopSemantics:
     def test_loop_runtime_grows_linearly(self):
         # Sequential semantics: the loop phase's duration spans all items.
         log = []
-        platform = Platform(get_profile("aws"), seed=2)
+        platform = Platform(resolve_platform("aws"), seed=2)
         platform.run_workflow(loop_definition(), loop_functions(log), {}, invocation_id="loop0")
         records = [r for r in platform.metrics.records_for("loop0") if r.function == "body"]
         assert len(records) == 3
@@ -113,7 +113,7 @@ class TestRepeatSemantics:
         functions = {
             "inc": FunctionSpec("inc", lambda ctx, p: {"n": (p.get("n", 0) if isinstance(p, dict) else 0) + 1}),
         }
-        platform = Platform(get_profile(platform_name), seed=2)
+        platform = Platform(resolve_platform(platform_name), seed=2)
         result, stats = platform.run_workflow(repeat_definition(4), functions, {"n": 0})
         assert result == {"n": 4}
         assert stats.activity_count == 4
@@ -145,7 +145,7 @@ class TestParallelSemantics:
             "left": FunctionSpec("left", lambda ctx, p: "L"),
             "right": FunctionSpec("right", lambda ctx, p: "R"),
         }
-        platform = Platform(get_profile(platform_name), seed=2)
+        platform = Platform(resolve_platform(platform_name), seed=2)
         result, _ = platform.run_workflow(self.parallel_definition(), functions, {})
         assert result == {"left": "L", "right": "R"}
 
@@ -154,7 +154,7 @@ class TestParallelSemantics:
             "left": FunctionSpec("left", lambda ctx, p: ctx.sleep(1.0) and None),
             "right": FunctionSpec("right", lambda ctx, p: ctx.sleep(1.0) and None),
         }
-        platform = Platform(get_profile("aws"), seed=2)
+        platform = Platform(resolve_platform("aws"), seed=2)
         platform.run_workflow(self.parallel_definition(), functions, {}, invocation_id="p0")
         records = platform.metrics.records_for("p0")
         assert {record.phase for record in records} == {"fanout"}
@@ -173,7 +173,7 @@ class TestMapParallelismLimit:
             name="wide_map",
         )
         functions = {"work": FunctionSpec("work", lambda ctx, item: ctx.sleep(1.0) or item)}
-        platform = Platform(get_profile("gcp"), seed=2)
+        platform = Platform(resolve_platform("gcp"), seed=2)
         payload = {"items": list(range(30))}  # above GCP's limit of 20
         result, _ = platform.run_workflow(definition, functions, payload, invocation_id="m0")
         assert len(result) == 30

@@ -14,7 +14,6 @@ from repro.sim import (
     available_platforms,
     available_scenarios,
     aws_profile,
-    get_profile,
     load_scenarios,
     register_era,
     register_platform,
@@ -359,20 +358,12 @@ class TestScenarioFiles:
             load_scenarios(path)
 
 
-class TestDeprecatedShim:
-    def test_get_profile_warns_and_matches_spec(self):
-        with pytest.warns(DeprecationWarning, match="get_profile"):
-            profile = get_profile("aws", era="2022")
-        assert same_profile(profile, PlatformSpec.parse("aws@2022").resolve())
+class TestRemovedShim:
+    def test_get_profile_is_no_longer_exported(self):
+        """resolve_platform("aws@2022") replaces the (platform, era) shim."""
+        import repro.sim
+        import repro.sim.platforms
 
-    def test_get_profile_default_era_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert same_profile(get_profile("gcp"), PlatformSpec.parse("gcp").resolve())
-
-    def test_get_profile_unknown_inputs_still_raise_keyerror(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                get_profile("ibm")
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                get_profile("aws", era="2030")
+        assert not hasattr(repro.sim, "get_profile")
+        assert "get_profile" not in repro.sim.__all__
+        assert not hasattr(repro.sim.platforms, "get_profile")

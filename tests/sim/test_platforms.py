@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import WorkflowDefinition
-from repro.sim import FunctionSpec, Platform, get_profile
+from repro.sim import FunctionSpec, Platform, resolve_platform
 from repro.sim.platforms import ALL_PLATFORMS, CLOUD_PLATFORMS, available_platforms
 
 
@@ -14,33 +14,33 @@ class TestProfileRegistry:
 
     def test_unknown_platform_rejected(self):
         with pytest.raises(KeyError):
-            get_profile("ibm")
+            resolve_platform("ibm")
 
     def test_unknown_era_rejected(self):
         with pytest.raises(KeyError):
-            get_profile("aws", era="2030")
+            resolve_platform("aws@2030")
 
     def test_cloud_platforms_subset(self):
         assert set(CLOUD_PLATFORMS) == {"aws", "gcp", "azure"}
 
     def test_profiles_reflect_paper_table2(self):
-        assert get_profile("aws").orchestration.max_parallelism == 40
-        assert get_profile("gcp").orchestration.max_parallelism == 20
-        assert get_profile("azure").orchestration.kind == "durable"
-        assert get_profile("aws").orchestration.kind == "state_machine"
+        assert resolve_platform("aws").orchestration.max_parallelism == 40
+        assert resolve_platform("gcp").orchestration.max_parallelism == 20
+        assert resolve_platform("azure").orchestration.kind == "durable"
+        assert resolve_platform("aws").orchestration.kind == "state_machine"
 
     def test_azure_pool_is_shared_and_small(self):
-        profile = get_profile("azure")
+        profile = resolve_platform("azure")
         assert profile.scaling.max_containers == 10
         assert not profile.scaling.per_function_pools
 
     def test_era_2022_azure_has_higher_dispatch_overhead(self):
-        old = get_profile("azure", era="2022")
-        new = get_profile("azure", era="2024")
+        old = resolve_platform("azure@2022")
+        new = resolve_platform("azure@2024")
         assert old.orchestration.dispatch_base_s > new.orchestration.dispatch_base_s
 
     def test_with_overrides_returns_modified_copy(self):
-        profile = get_profile("aws")
+        profile = resolve_platform("aws")
         changed = profile.with_overrides(default_memory_mb=2048)
         assert changed.default_memory_mb == 2048
         assert profile.default_memory_mb != 2048 or profile is not changed
@@ -48,7 +48,7 @@ class TestProfileRegistry:
     def test_with_overrides_rejects_unknown_fields_by_name(self):
         """A typo'd field raises a KeyError naming it and the valid fields,
         not an opaque replace() TypeError."""
-        profile = get_profile("aws")
+        profile = resolve_platform("aws")
         with pytest.raises(KeyError) as excinfo:
             profile.with_overrides(default_memory="oops", regon="eu")
         message = str(excinfo.value)
@@ -129,7 +129,7 @@ class TestFunctionInvocation:
 class TestWorkflowExecution:
     def test_run_workflow_on_every_platform(self, simple_definition, simple_functions):
         for name in ("aws", "gcp", "azure", "hpc"):
-            platform = Platform(get_profile(name), seed=1)
+            platform = Platform(resolve_platform(name), seed=1)
             result, stats = platform.run_workflow(
                 simple_definition, simple_functions, {"count": 3}, invocation_id="w0"
             )
@@ -139,26 +139,26 @@ class TestWorkflowExecution:
             assert len(platform.metrics.records_for("w0")) == 5
 
     def test_state_machine_counts_transitions(self, simple_definition, simple_functions):
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         _, stats = platform.run_workflow(simple_definition, simple_functions, {"count": 4})
         # fixed(2) + gen(1) + map setup(1) + 4 items(4) + agg(1)
         assert stats.state_transitions == 9
 
     def test_durable_counts_history_events(self, simple_definition, simple_functions):
-        platform = Platform(get_profile("azure"), seed=1)
+        platform = Platform(resolve_platform("azure"), seed=1)
         _, stats = platform.run_workflow(simple_definition, simple_functions, {"count": 4})
         assert stats.state_transitions >= 2 * 6
         assert stats.orchestrator_time_s > 0
 
     def test_unknown_function_raises(self, simple_definition):
-        platform = Platform(get_profile("aws"), seed=1)
+        platform = Platform(resolve_platform("aws"), seed=1)
         with pytest.raises(Exception):
             platform.run_workflow(simple_definition, {}, {"count": 2})
 
     def test_hpc_runs_much_faster_than_clouds(self, simple_definition, simple_functions):
         durations = {}
         for name in ("aws", "hpc"):
-            platform = Platform(get_profile(name), seed=1)
+            platform = Platform(resolve_platform(name), seed=1)
             _, stats = platform.run_workflow(simple_definition, simple_functions, {"count": 3})
             durations[name] = stats.wall_clock_s
         assert durations["hpc"] < durations["aws"] / 5
@@ -188,6 +188,6 @@ class TestWorkflowExecution:
             "handle_small": FunctionSpec("handle_small", lambda ctx, p: "small"),
         }
         for name in ("aws", "azure"):
-            platform = Platform(get_profile(name), seed=1)
+            platform = Platform(resolve_platform(name), seed=1)
             result, _ = platform.run_workflow(definition, functions, {})
             assert result == "big"

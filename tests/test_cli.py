@@ -15,16 +15,21 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run", "mapreduce"])
         assert args.platform == "aws"
-        assert args.burst_size == 30
-        assert args.mode == "burst"
+        assert args.workload is None  # the paper's burst of 30
 
-    def test_compare_accepts_era_repetitions_and_mode(self):
+    def test_compare_accepts_era_repetitions_and_workload(self):
         args = build_parser().parse_args([
-            "compare", "ml", "--era", "2022", "--repetitions", "2", "--mode", "warm",
+            "compare", "ml", "--era", "2022", "--repetitions", "2", "--workload", "warm",
         ])
         assert args.era == "2022"
         assert args.repetitions == 2
-        assert args.mode == "warm"
+        assert args.workload == "warm"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("flag", [["--mode", "warm"], ["--burst-size", "3"]])
+    def test_run_and_compare_no_longer_take_trigger_flags(self, command, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "ml", *flag])
 
     def test_campaign_defaults(self):
         # Spec-shaping flags parse to None so --resume can detect explicit
@@ -94,7 +99,7 @@ class TestCommands:
     def test_run_writes_result_json(self, tmp_path, capsys):
         target = tmp_path / "result.json"
         code = main([
-            "run", "mapreduce", "--platform", "azure", "--burst-size", "3",
+            "run", "mapreduce", "--platform", "azure", "--workload", "burst:burst_size=3",
             "--seed", "1", "--output", str(target),
         ])
         assert code == 0
@@ -105,15 +110,17 @@ class TestCommands:
         assert len(document["measurements"]) == 3
 
     def test_compare_prints_fastest_and_slowest(self, capsys):
-        code = main(["compare", "ml", "--burst-size", "3", "--platforms", "aws", "azure"])
+        code = main([
+            "compare", "ml", "--workload", "burst:burst_size=3", "--platforms", "aws", "azure",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "fastest:" in out and "slowest:" in out
 
     def test_compare_warm_mode_with_repetitions(self, capsys):
         code = main([
-            "compare", "ml", "--burst-size", "2", "--platforms", "aws",
-            "--repetitions", "2", "--mode", "warm",
+            "compare", "ml", "--workload", "warm:burst_size=2", "--platforms", "aws",
+            "--repetitions", "2",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -254,6 +261,25 @@ class TestWorkloadCli:
         assert "2 workloads" in out
         assert "constant(duration=5,rate=1)" in out
 
+    @pytest.mark.parametrize("legacy", [
+        ["--mode", "warm"],
+        ["--burst-size", "7"],
+        ["--mode", "warm", "--burst-size", "7"],
+    ])
+    def test_campaign_rejects_workload_with_mode_or_burst_size(self, legacy, capsys):
+        """Regression: --mode/--burst-size next to --workload were silently
+        ignored (the dry run planned burst(burst_size=2) and exited 0)."""
+        code = main([
+            "campaign", "--benchmarks", "mapreduce", "--platforms", "aws",
+            "--workload", "burst:burst_size=2", *legacy, "--dry-run",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "plan:" not in captured.out
+        assert "--workload cannot be combined with" in captured.err
+        for flag in legacy[::2]:
+            assert flag in captured.err
+
 
 class TestPlatformSpecCli:
     def scenario_file(self, tmp_path):
@@ -276,7 +302,7 @@ class TestPlatformSpecCli:
         target = tmp_path / "result.json"
         code = main([
             "run", "function_chain", "--platform", "aws@2022:cold_start=x1.5",
-            "--burst-size", "2", "--output", str(target),
+            "--workload", "burst:burst_size=2", "--output", str(target),
         ])
         assert code == 0
         document = json.loads(target.read_text())
@@ -287,14 +313,14 @@ class TestPlatformSpecCli:
     def test_run_with_scenario_name(self, tmp_path, capsys):
         code = main([
             "run", "function_chain", "--scenarios", self.scenario_file(tmp_path),
-            "--platform", "cli-test-variant", "--burst-size", "2",
+            "--platform", "cli-test-variant", "--workload", "burst:burst_size=2",
         ])
         assert code == 0
         assert "function_chain on cli-test-variant" in capsys.readouterr().out
 
     def test_compare_distinguishes_spec_variants(self, capsys):
         code = main([
-            "compare", "function_chain", "--burst-size", "2",
+            "compare", "function_chain", "--workload", "burst:burst_size=2",
             "--platforms", "aws", "aws@2022:cold_start=x3",
         ])
         assert code == 0
