@@ -324,8 +324,6 @@ def compare_platforms(
     era-less entries only (a spec's own era wins, matching the campaign's
     pinned-entry semantics).
     """
-    if isinstance(workload, str):
-        workload = WorkloadSpec.parse(workload)
     specs = [PlatformSpec.coerce(platform) for platform in platforms]
     keys = [spec.canonical() for spec in specs]
     # Duplicates are detected on the era-resolved identity, so "aws" and

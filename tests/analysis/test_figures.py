@@ -2,21 +2,14 @@
 
 import pytest
 
-from repro.analysis.artifacts import ArtifactConfig, execute_plan, plan_artifacts
+from repro.analysis.artifacts import ArtifactConfig
 
 SMALL = ArtifactConfig(burst_size=3, seed=2, benchmarks=("mapreduce",))
 
 
-def build(names, config):
-    """Plan ``names`` as one campaign, execute it serially, build each artifact."""
-    plan = plan_artifacts(list(names), config)
-    campaign = execute_plan(plan, workers=1)
-    return {artifact.name: artifact.build(campaign, config) for artifact in plan.artifacts}
-
-
 @pytest.fixture(scope="module")
-def small_figures():
-    return build(["figure7", "figure8", "figure11", "figure15"], SMALL)
+def small_figures(build_artifacts):
+    return build_artifacts(["figure7", "figure8", "figure11", "figure15"], SMALL)
 
 
 class TestCampaignReuse:
@@ -50,37 +43,37 @@ class TestCampaignReuse:
 
 
 class TestStandaloneFigures:
-    def test_figure9a_series_structure(self):
+    def test_figure9a_series_structure(self, build_artifacts):
         config = ArtifactConfig(seed=1).with_overrides(
             "figure9a", download_sizes=(1024,), num_functions=2, burst_size=2,
             platforms=("aws",),
         )
-        series = build(["figure9a"], config)["figure9a"]
+        series = build_artifacts(["figure9a"], config)["figure9a"]
         assert list(series) == ["aws"]
         assert series["aws"][0]["download_bytes"] == 1024.0
         assert series["aws"][0]["median_overhead_s"] >= 0
 
-    def test_figure10_cells(self):
+    def test_figure10_cells(self, build_artifacts):
         config = ArtifactConfig(seed=1).with_overrides(
             "figure10", parallelism=(2,), durations_s=(1.0,), burst_size=2,
             platforms=("aws",),
         )
-        heatmaps = build(["figure10"], config)["figure10"]
+        heatmaps = build_artifacts(["figure10"], config)["figure10"]
         cell = heatmaps["aws"]["N=2,T=1"]
         assert cell["relative_overhead"] >= 1.0
         assert cell["median_runtime_s"] >= 1.0
 
-    def test_figure13_structure(self):
+    def test_figure13_structure(self, build_artifacts):
         config = ArtifactConfig(seed=1).with_overrides(
             "figure13", memory_configurations=(256,), events=200, platforms=("aws",),
         )
-        data = build(["figure13"], config)["figure13"]
+        data = build_artifacts(["figure13"], config)["figure13"]
         assert data["suspension"]["aws"][0]["memory_mb"] == 256.0
         assert "mapreduce" in data["normalized_critical_path"]
 
-    def test_figure16_era_keys(self):
+    def test_figure16_era_keys(self, build_artifacts):
         config = ArtifactConfig(seed=1).with_overrides(
             "figure16", benchmarks=("mapreduce",), burst_size=2, platforms=("aws",),
         )
-        data = build(["figure16"], config)["figure16"]
+        data = build_artifacts(["figure16"], config)["figure16"]
         assert set(data["mapreduce"]["aws"]) == {"2022", "2024"}

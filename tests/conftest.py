@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.artifacts import execute_plan, plan_artifacts, render_plan
 from repro.core import WorkflowDefinition
 from repro.sim import FunctionSpec, Platform, resolve_platform
 from repro.sim.platforms import spec as platform_spec_module
@@ -97,3 +98,16 @@ def azure_platform() -> Platform:
 @pytest.fixture
 def gcp_platform() -> Platform:
     return Platform(resolve_platform("gcp"), seed=7)
+
+
+@pytest.fixture(scope="session")
+def build_artifacts():
+    """Plan artifacts as one campaign, execute it serially, and return each
+    artifact's data as ``{name: data}``."""
+
+    def _build(names, config):
+        plan = plan_artifacts(list(names), config)
+        rendered = render_plan(plan, execute_plan(plan, workers=1))
+        return {name: artifact.data for name, artifact in rendered.items()}
+
+    return _build

@@ -88,6 +88,10 @@ class TestCampaignSpec:
         with pytest.raises(ValueError):
             small_spec(burst_size=0)
 
+    def test_mode_and_burst_size_map_to_a_workload(self):
+        assert small_spec(mode="warm", burst_size=7).workloads == (WorkloadSpec.warm(7),)
+        assert small_spec(mode="burst", burst_size=7).workloads == (WorkloadSpec.burst(7),)
+
     def test_jobs_are_picklable_round_trippable(self):
         import pickle
 

@@ -2,20 +2,24 @@
 
 import pytest
 
-from repro.analysis.artifacts import ArtifactConfig, execute_plan, plan_artifacts
+from repro.analysis.artifacts import ArtifactConfig
 
 SEED = 5
 
 
-def build_figure(name, **overrides):
-    """Plan one figure with per-artifact overrides, execute it serially, build it."""
-    config = ArtifactConfig(seed=SEED).with_overrides(name, **overrides)
-    plan = plan_artifacts([name], config)
-    return plan.artifacts[0].build(execute_plan(plan, workers=1), config)
+@pytest.fixture
+def build_figure(build_artifacts):
+    """Build one figure at ``SEED`` with per-artifact overrides."""
+
+    def _build(name, **overrides):
+        config = ArtifactConfig(seed=SEED).with_overrides(name, **overrides)
+        return build_artifacts([name], config)[name]
+
+    return _build
 
 
 class TestFigure9aStorage:
-    def test_azure_overhead_explodes_with_download_size(self):
+    def test_azure_overhead_explodes_with_download_size(self, build_figure):
         series = build_figure(
             "figure9a", download_sizes=(1 << 20, 1 << 27), num_functions=20, burst_size=8,
         )
@@ -29,7 +33,7 @@ class TestFigure9aStorage:
 
 
 class TestFigure9bPayload:
-    def test_azure_latency_grows_beyond_16kb(self):
+    def test_azure_latency_grows_beyond_16kb(self, build_figure):
         series = build_figure(
             "figure9b", payload_sizes=(1 << 8, 1 << 17), chain_length=5, burst_size=5,
         )
@@ -41,7 +45,7 @@ class TestFigure9bPayload:
 
 
 class TestFigure10ParallelSleep:
-    def test_relative_overhead_ordering(self):
+    def test_relative_overhead_ordering(self, build_figure):
         heatmaps = build_figure(
             "figure10", parallelism=(2, 8), durations_s=(1.0,), burst_size=10,
         )
@@ -51,7 +55,7 @@ class TestFigure10ParallelSleep:
         assert azure > gcp > aws
         assert aws < 2.5
 
-    def test_aws_overhead_shrinks_with_longer_sleeps(self):
+    def test_aws_overhead_shrinks_with_longer_sleeps(self, build_figure):
         heatmaps = build_figure(
             "figure10", parallelism=(4,), durations_s=(1.0, 10.0), burst_size=5,
         )
@@ -61,7 +65,7 @@ class TestFigure10ParallelSleep:
 
 
 class TestFigure13Noise:
-    def test_suspension_curves_and_normalisation(self):
+    def test_suspension_curves_and_normalisation(self, build_figure):
         data = build_figure("figure13", memory_configurations=(128, 1024, 2048),
                             events=1000)
         aws_curve = {point["memory_mb"]: point for point in data["suspension"]["aws"]}
@@ -74,7 +78,7 @@ class TestFigure13Noise:
 
 
 class TestFigure14ScientificWorkflows:
-    def test_hpc_much_faster_and_clouds_scale(self):
+    def test_hpc_much_faster_and_clouds_scale(self, build_figure):
         data = build_figure("figure14", job_counts=(5, 10), burst_size=2,
                             platforms=("aws", "hpc"))
         assert data["full_workflow"]["hpc"]["mean_runtime_s"] < (
@@ -85,7 +89,7 @@ class TestFigure14ScientificWorkflows:
 
 
 class TestFigure16Evolution:
-    def test_azure_ml_overhead_halved_between_eras(self):
+    def test_azure_ml_overhead_halved_between_eras(self, build_figure):
         data = build_figure("figure16", benchmarks=("ml",), burst_size=8,
                             platforms=("azure", "aws"))
         azure = data["ml"]["azure"]

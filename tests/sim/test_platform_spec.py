@@ -209,6 +209,13 @@ class TestResolution:
         with pytest.raises(KeyError, match="2030"):
             PlatformSpec(base="aws", era="2030").resolve()
 
+    def test_default_era_conflicting_with_pinned_era_rejected(self):
+        with pytest.raises(ValueError, match="era"):
+            PlatformSpec.parse("aws@2022").with_default_era("2024")
+        # Agreeing eras are fine; an era-less spec takes the given era.
+        assert PlatformSpec.parse("aws@2022").with_default_era("2022").era == "2022"
+        assert PlatformSpec.parse("aws").with_default_era("2022").era == "2022"
+
     def test_era_overrides_compose_with_spec_overrides(self):
         plain_2022 = PlatformSpec.parse("gcp@2022").resolve()
         varied = PlatformSpec.parse("gcp@2022:cold_start=x2").resolve()

@@ -355,6 +355,17 @@ class TestPlatformSpecCli:
         assert main(["campaign", "--benchmarks", "ml", "--platforms", "aws@1999"]) == 2
         assert "unknown era" in capsys.readouterr().err
 
+    def test_run_with_conflicting_eras_reports_error(self, capsys):
+        assert main([
+            "run", "function_chain", "--platform", "aws@2022", "--era", "2024",
+            "--workload", "burst:burst_size=2",
+        ]) == 2
+        assert "era" in capsys.readouterr().err
+        assert main([
+            "run", "function_chain", "--platform", "aws@2022", "--era", "2022",
+            "--workload", "burst:burst_size=2",
+        ]) == 0
+
     def test_missing_scenario_file_reports_error(self, capsys):
         assert main(["list", "--scenarios", "/nonexistent/scenarios.toml"]) == 2
         assert "error:" in capsys.readouterr().err
