@@ -511,6 +511,11 @@ def run_grid_worker(
             else None
         )
         if cached_document is not None:
+            try:
+                result_from_dict(cached_document)
+            except (KeyError, TypeError, ValueError):
+                cached_document = None  # merge could not use it: a miss, as in run_campaign
+        if cached_document is not None:
             # Log cache-served cells too, so a merge needs only the logs.
             run.backend.append_record(job_shard, worker_id, {
                 "fingerprint": fingerprint,

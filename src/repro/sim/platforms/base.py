@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields as dataclass_fields, replace
-from typing import Dict, Generator, List, Optional, Tuple, Union
+from typing import Dict, Generator, List, Optional, Tuple, Type, Union
 
 from ...core.definition import WorkflowDefinition
 from ..billing import BillingCalculator, FunctionExecutionRecord, PricingModel
@@ -70,7 +70,11 @@ class PlatformProfile:
 
 
 class Platform:
-    """The simulated runtime of one platform: services plus the execution engine."""
+    """The simulated runtime of one platform: services plus the execution engine.
+
+    The executor is built per workflow invocation, so a platform holds no
+    reference cycle and refcounting frees its world when a repetition ends.
+    """
 
     def __init__(self, profile: PlatformProfile, seed: int = 0) -> None:
         self.profile = profile
@@ -90,10 +94,9 @@ class Platform:
         self.checkpoint_backlog_bytes = 0
         self._request_counter = itertools.count()
 
-        if profile.orchestration.kind == "durable":
-            self._executor: Union[DurableExecutor, StateMachineExecutor] = DurableExecutor(self)
-        else:
-            self._executor = StateMachineExecutor(self)
+        self._executor_type: Type[Union[DurableExecutor, StateMachineExecutor]] = (
+            DurableExecutor if profile.orchestration.kind == "durable" else StateMachineExecutor
+        )
 
     # ------------------------------------------------------------------ invoke
     def invoke_function(
@@ -203,7 +206,7 @@ class Platform:
     ) -> Generator[Event, object, Tuple[object, OrchestrationStats]]:
         """Simulation process executing one full workflow invocation."""
         memory = memory_mb or self.profile.default_memory_mb
-        result, stats = yield from self._executor.execute(
+        result, stats = yield from self._executor_type(self).execute(
             definition, functions, payload, invocation_id, memory
         )
         self.orchestrations.append(stats)

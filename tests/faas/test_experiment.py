@@ -1,5 +1,6 @@
 """Tests for triggers, the experiment runner, metrics aggregation, and cost reports."""
 
+import gc
 import json
 
 import pytest
@@ -24,7 +25,36 @@ from repro.faas.results import (
     result_to_dict,
     save_result,
 )
+from repro.observability import MetricsRegistry, use_registry
 from repro.sim import Platform, PlatformSpec, resolve_platform
+
+
+@pytest.mark.parametrize("recording", [False, True], ids=["null-registry", "recording"])
+@pytest.mark.parametrize("workload", ["burst:burst_size=5", "warm", "poisson:rate=2,duration=10"])
+@pytest.mark.parametrize("platform", ["aws", "gcp", "azure"])
+def test_repetition_world_is_freed_without_the_cyclic_gc(platform, workload, recording):
+    """A finished experiment leaves nothing of its platforms for the cyclic GC:
+    no reference cycle holds a repetition's engine, streams or records."""
+    runner = ExperimentRunner(ExperimentConfig(platform=platform, workload=workload, seed=0))
+    benchmark = get_benchmark("function_chain")
+    gc.collect()
+    debug = gc.get_debug()
+    gc.disable()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    try:
+        if recording:
+            with use_registry(MetricsRegistry()):
+                runner.run(benchmark)
+        else:
+            runner.run(benchmark)
+        gc.collect()
+        leaked = sorted({f"{type(obj).__module__}.{type(obj).__qualname__}"
+                         for obj in gc.garbage if type(obj).__module__.startswith("repro")})
+    finally:
+        gc.garbage.clear()
+        gc.set_debug(debug)
+        gc.enable()
+    assert not leaked
 
 
 class TestTriggers:

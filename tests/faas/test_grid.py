@@ -343,6 +343,29 @@ class TestGridExecution:
         assert len(merged.cells) == 4
         assert merged.cache_hits == 4
 
+    def test_undecodable_cache_entry_is_recomputed_not_forwarded(self, tmp_path):
+        """Regression: a cache entry with the current version and fingerprint
+        whose result does not decode is a miss, as in ``run_campaign``; the
+        worker used to forward it, the merge skipped it, and every later worker
+        reported the cell already done, so the run could never finish."""
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+        clean = run_campaign(spec, workers=1, cache_dir=cache)
+        job = spec.expand()[0]
+        entry_path = cache / f"{job.fingerprint()}.json"
+        entry = json.loads(entry_path.read_text())
+        del entry["result"]["config"]["workload"]
+        entry_path.write_text(json.dumps(entry))
+
+        run = GridRun.create(spec, tmp_path / "run", shard_count=2)
+        report = run_grid_worker(run, workers=1, cache_dir=cache)
+        assert report.executed == 1
+        assert report.cache_hits == 3
+        merged = merge_run(run)
+        assert [cell.from_cache for cell in merged.cells].count(False) == 1
+        assert [cell["result"] for cell in merged.to_dict(include_results=True)["cells"]] == \
+            [cell["result"] for cell in clean.to_dict(include_results=True)["cells"]]
+
     def test_failed_cells_are_recorded_not_raised(self, tmp_path):
         spec = tiny_spec(
             benchmarks=("function_chain", "does_not_exist"),
