@@ -768,6 +768,9 @@ def _cmd_campaign_status(run_dir: str, metrics: bool = False,
     pending = sum(s.pending for s in statuses)
     print(f"cells: {done}/{total} done, {failed} failed, {leased} leased, "
           f"{pending} pending")
+    lease_rows = [lease.as_row() for s in statuses for lease in s.leases]
+    if lease_rows:
+        print(report.format_table(lease_rows, "live leases"))
     print(autoscale_hint(run, statuses).describe())
     if metrics:
         # The exact registry `repro-flow serve` scrapes: merged per-worker

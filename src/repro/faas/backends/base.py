@@ -59,6 +59,20 @@ def _safe_worker_id(worker_id: str) -> str:
     return cleaned or "worker"
 
 
+def _renewable(holder: Optional[Dict[str, object]], worker_id: str) -> bool:
+    """Whether ``worker_id`` may heartbeat this lease document.
+
+    Only its own live lease: never a rival's reclaim, and never a done
+    marker -- renewing one would turn it back into an expiring lease that a
+    rival could later claim, re-running a finished cell.
+    """
+    return (
+        holder is not None
+        and holder.get("worker") == worker_id
+        and not holder.get("done")
+    )
+
+
 class GridBackend(ABC):
     """Abstract coordination medium for a grid run.
 
@@ -112,7 +126,11 @@ class GridBackend(ABC):
 
     @abstractmethod
     def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        """Heartbeat: push our deadline out by another TTL; False if not ours."""
+        """Heartbeat: push our deadline out by another TTL.
+
+        False -- leaving the lease untouched -- when it is not ours or is a
+        done marker.
+        """
 
     @abstractmethod
     def mark_done(self, fingerprint: str, worker_id: str) -> None:

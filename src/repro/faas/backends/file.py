@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Union
 
 from ..results import ResultLog
-from .base import GridBackend, _safe_worker_id, _wall_clock
+from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
 
 #: The run manifest's file name under the backend root.
 MANIFEST_NAME = "grid.json"
@@ -173,8 +173,7 @@ class FileBackend(GridBackend):
         return document if isinstance(document, dict) else None
 
     def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        holder = self.read_lease(fingerprint)
-        if holder is None or holder.get("worker") != worker_id:
+        if not _renewable(self.read_lease(fingerprint), worker_id):
             self._record_op("renew_lost")
             return False
         temp = self._write_claim(fingerprint, worker_id, ttl_s)

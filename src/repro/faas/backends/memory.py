@@ -19,7 +19,7 @@ import json
 import threading
 from typing import Dict, Iterator, List, Optional
 
-from .base import GridBackend, _wall_clock
+from .base import GridBackend, _renewable, _wall_clock
 
 
 class MemoryBackend(GridBackend):
@@ -72,8 +72,7 @@ class MemoryBackend(GridBackend):
 
     def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
         with self._lock:
-            holder = self._holder(fingerprint)
-            if holder is None or holder.get("worker") != worker_id:
+            if not _renewable(self._holder(fingerprint), worker_id):
                 self._record_op("renew_lost")
                 return False
             self._leases[fingerprint] = json.dumps({

@@ -30,7 +30,7 @@ import json
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .base import GridBackend, _safe_worker_id, _wall_clock
+from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
 
 
 class LocalObjectStore:
@@ -174,8 +174,7 @@ class ObjectStoreBackend(GridBackend):
         if current is None:
             self._record_op("renew_lost")
             return False
-        holder = self._parse(current[0])
-        if holder is None or holder.get("worker") != worker_id:
+        if not _renewable(self._parse(current[0]), worker_id):
             self._record_op("renew_lost")
             return False
         # Guarded by the ETag: if a rival reclaimed us between the read and

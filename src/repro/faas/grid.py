@@ -19,7 +19,8 @@ to coordinate *who runs what*:
 * **merge and status** -- :func:`merge_run` folds the records (plus the
   ordinary cell cache) into a :class:`~repro.faas.campaign.CampaignResult`
   one record at a time, idempotently and order-independently;
-  :func:`grid_status` reports done/failed/leased/pending counts per shard and
+  :func:`grid_status` reports done/failed/leased/pending counts per shard
+  (and who holds each live lease, until when) and
   :func:`autoscale_hint` turns them into a suggested worker count.
 
 Where the state lives is pluggable (:mod:`repro.faas.backends`): the default
@@ -68,13 +69,14 @@ from .results import ResultLog, result_from_dict  # noqa: F401  (ResultLog re-ex
 #: Bump when the run-directory layout changes incompatibly.
 GRID_VERSION = 1
 
-#: Default lease time-to-live.  A pooled worker (workers > 1) heartbeats its
-#: leases several times per TTL even while cells are executing, so there the
-#: TTL only needs to cover scheduling hiccups.  A serial worker (workers=1)
-#: renews only *between* cells, so its TTL must cover the longest single
-#: cell runtime -- or a concurrent worker may reclaim and duplicate the cell
-#: mid-flight (harmless for correctness, the merge deduplicates, but wasted
-#: compute).
+#: Default lease time-to-live.  A held lease is rewritten once it is at
+#: least TTL/6 old; a pooled worker (workers > 1) checks every TTL/6 even
+#: while cells execute, so each lease is rewritten at most TTL/3 after its
+#: last write and the TTL only needs to cover scheduling hiccups.  A serial
+#: worker (workers=1) checks only *between* cells, so its TTL must cover the
+#: longest single cell runtime -- or a concurrent worker may reclaim and
+#: duplicate the cell mid-flight (harmless for correctness, the merge
+#: deduplicates, but wasted compute).
 DEFAULT_LEASE_TTL_S = 300.0
 
 
@@ -175,7 +177,7 @@ class LeaseQueue:
 
         Returns False -- without touching the lease -- when it is no longer
         ours: a worker that stalled past its TTL and was reclaimed must not
-        clobber the reclaimer's live claim.
+        clobber the reclaimer's live claim, and a done marker stays done.
         """
         return self.backend.renew(fingerprint, self.worker_id, self.ttl_s)
 
@@ -465,11 +467,14 @@ def run_grid_worker(
     the hook :func:`repro.analysis.artifacts.cell_priorities` feeds so cells
     blocking a pending figure drain before cells nothing is waiting on.
 
-    Lease heartbeats fire from the pool wait loop, so with ``workers > 1``
-    leases stay fresh even while cells execute.  With ``workers=1`` renewal
-    only happens between cells: pick a ``lease_ttl_s`` longer than the
-    longest cell, or concurrent workers may duplicate in-flight cells (the
-    merge deduplicates, so results stay correct either way).
+    Lease heartbeats fire from the pool wait loop, which wakes at least every
+    TTL/6, so with ``workers > 1`` leases stay fresh even while cells
+    execute: a held lease is rewritten once it is at least TTL/6 old, so at
+    most TTL/3 after its last write.  A cell shorter than TTL/6 never renews
+    its lease at all.  With ``workers=1`` renewal only happens between cells:
+    pick a ``lease_ttl_s`` longer than the longest cell, or concurrent
+    workers may duplicate in-flight cells (the merge deduplicates, so
+    results stay correct either way).
     """
     if shard is not None and not 0 <= shard < run.shard_count:
         raise ValueError(
@@ -536,12 +541,16 @@ def run_grid_worker(
         # Stable sort: equal-rank cells keep the expansion order above.
         pending.sort(key=lambda job: -float(priority.get(job.fingerprint(), 0.0)))
 
-    held: set = set()
+    # Held leases -> when we last wrote them (claim or renew), on the lease
+    # clock.  A lease is rewritten only once it is due, not on every tick.
+    held: Dict[str, float] = {}
+    renew_after_s = lease_ttl_s / 6.0
 
     def admit(job: CampaignJob) -> bool:
         fingerprint = job.fingerprint()
+        now = leases.clock()
         if leases.claim(fingerprint):
-            held.add(fingerprint)
+            held[fingerprint] = now
             lease_depth.set(len(held))
             return True
         return False
@@ -550,12 +559,17 @@ def run_grid_worker(
         report.skipped_leased += 1
 
     def tick() -> None:
-        for fingerprint in list(held):
-            if not leases.renew(fingerprint):
+        now = leases.clock()
+        for fingerprint, written in list(held.items()):
+            if now - written < renew_after_s:
+                continue
+            if leases.renew(fingerprint):
+                held[fingerprint] = now
+            else:
                 # We stalled past the TTL and a rival reclaimed the cell; it
                 # may now run twice, which the merge deduplicates.  Stop
                 # heartbeating a lease that is no longer ours.
-                held.discard(fingerprint)
+                del held[fingerprint]
         lease_depth.set(len(held))
         registry.flush(min_interval_s=1.0)
 
@@ -577,7 +591,7 @@ def run_grid_worker(
             # to size the fleet.  Merge/scan ignore unknown record keys.
             record["elapsed_s"] = round(float(elapsed_s), 6)
         run.backend.append_record(job_shard, worker_id, record)
-        held.discard(fingerprint)
+        held.pop(fingerprint, None)
         lease_depth.set(len(held))
         # A done marker instead of a plain release: a concurrent worker whose
         # startup scan predates this completion must not re-claim the cell.
@@ -597,7 +611,7 @@ def run_grid_worker(
             "error": failure.error,
             "attempts": failure.attempts,
         })
-        held.discard(fingerprint)
+        held.pop(fingerprint, None)
         lease_depth.set(len(held))
         leases.release(fingerprint)
         report.failed += 1
@@ -607,7 +621,7 @@ def run_grid_worker(
         pending, workers, finish, fail,
         max_retries=max_retries,
         admit=admit, skip=skip,
-        tick=tick, tick_interval_s=max(lease_ttl_s / 3.0, 0.05),
+        tick=tick, tick_interval_s=max(renew_after_s, 0.05),
     )
     return report
 
@@ -720,15 +734,41 @@ def iter_partial_merges(
 
 
 @dataclass(frozen=True)
+class LeaseStatus:
+    """One live lease: which cell, who holds it, and when it expires."""
+
+    shard: int
+    fingerprint: str
+    benchmark: str
+    platform: str
+    worker: str
+    expires_in_s: float
+
+    def as_row(self) -> Dict[str, object]:
+        return {
+            "shard": self.shard,
+            "cell": self.fingerprint[:16],
+            "benchmark": self.benchmark,
+            "platform": self.platform,
+            "worker": self.worker,
+            "expires_in_s": round(self.expires_in_s, 1),
+        }
+
+
+@dataclass(frozen=True)
 class ShardStatus:
-    """Progress of one shard of a grid run."""
+    """Progress of one shard of a grid run, plus its live leases."""
 
     shard: int
     total: int
     done: int
     failed: int
-    leased: int
     pending: int
+    leases: Tuple[LeaseStatus, ...]
+
+    @property
+    def leased(self) -> int:
+        return len(self.leases)
 
     def as_row(self) -> Dict[str, object]:
         return {
@@ -747,20 +787,33 @@ def grid_status(run: GridRun) -> List[ShardStatus]:
     ``failed`` counts cells whose latest attempt failed and that nobody is
     currently retrying; a cell under a live lease counts as ``leased`` even
     if an earlier attempt failed.  ``done + failed + leased + pending``
-    always equals the shard's cell count.
+    always equals the shard's cell count.  Each leased cell's lease is
+    listed with its holder and the seconds until its deadline; a pooled
+    worker keeps that above 2/3 of the TTL, so a lower countdown points at
+    a worker that stopped heartbeating.
     """
     scan = run.scan()
     leases = run.backend.active()
+    now = run.backend.clock()
     shards = plan_shards(run.spec, run.shard_count)
     statuses: List[ShardStatus] = []
     for shard, members in enumerate(shards):
-        done = failed = leased = 0
+        done = failed = 0
+        live: List[LeaseStatus] = []
         for job in members:
             fingerprint = job.fingerprint()
             if fingerprint in scan.completed:
                 done += 1
             elif fingerprint in leases:
-                leased += 1
+                lease = leases[fingerprint]
+                live.append(LeaseStatus(
+                    shard=shard,
+                    fingerprint=fingerprint,
+                    benchmark=job.benchmark,
+                    platform=job.platform_label,
+                    worker=str(lease.get("worker", "")),
+                    expires_in_s=float(lease["deadline"]) - now,
+                ))
             elif fingerprint in scan.failed:
                 failed += 1
         statuses.append(ShardStatus(
@@ -768,8 +821,8 @@ def grid_status(run: GridRun) -> List[ShardStatus]:
             total=len(members),
             done=done,
             failed=failed,
-            leased=leased,
-            pending=len(members) - done - failed - leased,
+            pending=len(members) - done - failed - len(live),
+            leases=tuple(live),
         ))
     return statuses
 

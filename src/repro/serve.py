@@ -6,8 +6,9 @@ ways:
 * ``GET /metrics`` -- Prometheus text format: every worker's latest JSONL
   telemetry snapshot merged into one cluster-wide registry, plus freshly
   computed whole-run gauges (shard progress, autoscale hint).
-* ``GET /status``  -- the same view as JSON (shard rows, totals, cache hit
-  rate, cells/sec, and the autoscale hint's one-line description).
+* ``GET /status``  -- the same view as JSON (shard rows, totals, live
+  leases with holder and seconds to expiry, cache hit rate, cells/sec, and
+  the autoscale hint's one-line description).
 * ``GET /events``  -- a Server-Sent-Events stream of live merge progress,
   one ``data:`` frame per :func:`repro.faas.grid.iter_partial_merges`
   snapshot, ending once the run settles.
@@ -167,6 +168,9 @@ def status_document(view: RunMetricsView) -> dict:
             "leased": sum(status.leased for status in view.statuses),
             "pending": sum(status.pending for status in view.statuses),
         },
+        "leases": [
+            lease.as_row() for status in view.statuses for lease in status.leases
+        ],
         "cells_per_second": throughput,
         "cache_hit_rate": None if rate is None else rate[0],
         "cache_hits": None if rate is None else rate[1],

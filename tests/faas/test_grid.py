@@ -13,6 +13,7 @@ from repro.faas import (
     CampaignSpec,
     GridRun,
     LeaseQueue,
+    MemoryBackend,
     ResultLog,
     grid_status,
     merge_run,
@@ -22,6 +23,8 @@ from repro.faas import (
     run_grid_worker,
     shard_of,
 )
+from repro.faas import grid
+from repro.observability import MetricsRegistry, use_registry
 
 
 def tiny_spec(**overrides) -> CampaignSpec:
@@ -197,6 +200,116 @@ class TestLeaseQueue:
         assert list(tmp_path.glob("*.tmp")) == []
 
 
+class TestLeaseHeartbeat:
+    """A held lease is rewritten once it is TTL/6 old, not on every tick."""
+
+    TTL = 60.0  # due at 10 s; the pool loop wakes at least every 10 s
+
+    @staticmethod
+    def backend_ops(registry: MetricsRegistry, backend: str, op: str) -> float:
+        return registry.counter("repro_grid_backend_ops_total").value(
+            backend=backend, op=op
+        )
+
+    def hooks(self, clock: FakeClock):
+        """A worker's real admit/tick hooks, driven by hand.
+
+        ``run_cells`` is swapped for a stub that captures its hooks instead of
+        executing cells, so the test decides when each tick fires and what
+        time it is on the lease clock.
+        """
+        captured = {}
+
+        def capture(pending, workers, finish, fail, **kwargs):
+            captured.update(kwargs, pending=list(pending))
+
+        run = GridRun.create(tiny_spec(), backend=MemoryBackend(clock=clock))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(grid, "run_cells", capture)
+            run_grid_worker(run, workers=2, worker_id="w", lease_ttl_s=self.TTL,
+                            clock=clock)
+        return run, captured
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_cells_never_renew_under_the_default_ttl(self, tmp_path, workers):
+        run = GridRun.create(tiny_spec(), tmp_path / "run", shard_count=1)
+        with use_registry(MetricsRegistry()) as registry:
+            report = run_grid_worker(run, workers=workers)
+        assert report.executed == 4
+        assert self.backend_ops(registry, "file", "renew") == 0
+        assert self.backend_ops(registry, "file", "claim") == 4
+        assert self.backend_ops(registry, "file", "mark_done") == 4
+
+    def test_tick_rewrites_a_lease_only_once_it_is_due(self):
+        clock = FakeClock()
+        run, hooks = self.hooks(clock)
+        assert hooks["tick_interval_s"] == self.TTL / 6
+        job = hooks["pending"][0]
+        assert hooks["admit"](job)
+        claimed = run.backend.read_lease(job.fingerprint())["deadline"]
+        with use_registry(MetricsRegistry()) as registry:
+            hooks["tick"]()
+            clock.advance(9.0)
+            hooks["tick"]()  # 9 s old: not due yet
+            assert run.backend.read_lease(job.fingerprint())["deadline"] == claimed
+            clock.advance(1.0)
+            hooks["tick"]()  # 10 s old: rewritten
+            hooks["tick"]()  # just rewritten: not due again
+        assert run.backend.read_lease(job.fingerprint())["deadline"] == \
+            clock.now + self.TTL
+        assert self.backend_ops(registry, "memory", "renew") == 1
+
+    def test_a_reclaimed_lease_is_dropped_and_never_renewed_again(self):
+        clock = FakeClock()
+        run, hooks = self.hooks(clock)
+        job = hooks["pending"][0]
+        assert hooks["admit"](job)
+        clock.advance(self.TTL + 1.0)  # the worker stalled past its TTL
+        assert run.backend.claim(job.fingerprint(), "rival", 600.0)
+        with use_registry(MetricsRegistry()) as registry:
+            hooks["tick"]()  # renew lost: the lease is dropped
+            for _ in range(3):
+                clock.advance(self.TTL)
+                hooks["tick"]()
+            depth = registry.gauge("repro_grid_lease_queue_depth").value()
+        assert self.backend_ops(registry, "memory", "renew_lost") == 1
+        assert self.backend_ops(registry, "memory", "renew") == 0
+        assert depth == 0
+        assert run.backend.read_lease(job.fingerprint())["worker"] == "rival"
+
+    @given(
+        gaps=st.lists(st.floats(min_value=0.001, max_value=1.0),
+                      min_size=1, max_size=40),
+        admit_at=st.lists(st.integers(min_value=0, max_value=39),
+                          min_size=4, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pool_loop_rewrites_every_lease_within_a_third_of_the_ttl(
+        self, gaps, admit_at
+    ):
+        """Whenever ticks come at most ``tick_interval_s`` apart (the pool
+        loop's wait timeout), no held lease goes TTL/3 without a write."""
+        clock = FakeClock()
+        run, hooks = self.hooks(clock)
+        writes = {}
+        for step, fraction in enumerate(gaps):
+            clock.advance(fraction * hooks["tick_interval_s"])
+            for job, when in zip(hooks["pending"], admit_at):
+                if when == step:
+                    assert hooks["admit"](job)
+            hooks["tick"]()
+            for fingerprint, lease in run.backend.active().items():
+                written = lease["deadline"] - self.TTL
+                times = writes.setdefault(fingerprint, [written])
+                if written > times[-1] + 1e-6:
+                    times.append(written)
+                # Every lease a tick leaves behind is younger than TTL/6.
+                assert clock.now - written < self.TTL / 6 + 1e-6
+        for times in writes.values():
+            for before, after in zip(times, times[1:]):
+                assert after - before <= self.TTL / 3 + 1e-6
+
+
 class TestResultLog:
     def test_append_and_iterate(self, tmp_path):
         log = ResultLog(tmp_path / "log.jsonl")
@@ -331,6 +444,10 @@ class TestGridExecution:
         assert report.executed == 3
         statuses = grid_status(run)
         assert sum(s.leased for s in statuses) == 1
+        [lease] = [lease for s in statuses for lease in s.leases]
+        assert lease.worker == "other-host"
+        assert lease.fingerprint == victim.fingerprint()
+        assert 0.0 < lease.expires_in_s <= 300.0
 
     def test_worker_serves_cells_from_cell_cache(self, tmp_path):
         spec = tiny_spec()

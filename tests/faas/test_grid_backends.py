@@ -30,6 +30,7 @@ from repro.faas import (
     run_campaign,
     run_grid_worker,
 )
+from repro.observability import MetricsRegistry, use_registry
 
 FP_A = "a" * 64
 FP_B = "b" * 64
@@ -105,6 +106,19 @@ class TestLeaseInvariants:
         assert not backend.claim(FP_A, "b", 30.0)
         backend.clock.advance(1_000_000.0)
         assert not backend.claim(FP_A, "b", 30.0)  # no TTL on done
+
+    def test_renew_never_revives_a_done_marker(self, backend):
+        assert backend.claim(FP_A, "a", 30.0)
+        backend.mark_done(FP_A, "a")
+        with use_registry(MetricsRegistry()) as registry:
+            assert not backend.renew(FP_A, "a", 30.0)
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend=backend.kind, op="renew_lost") == 1
+        assert ops.value(backend=backend.kind, op="renew") == 0
+        assert backend.read_lease(FP_A)["done"] is True
+        assert "deadline" not in backend.read_lease(FP_A)
+        backend.clock.advance(31.0)  # a revived lease would have expired
+        assert not backend.claim(FP_A, "b", 30.0)
 
     def test_release_reopens_only_for_the_holder(self, backend):
         assert backend.claim(FP_A, "a", 300.0)

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from repro.faas import CampaignSpec, GridRun, run_grid_worker
+from repro.faas import CampaignSpec, GridRun, LeaseQueue, run_grid_worker, shard_of
 from repro.observability import (
     CONTENT_TYPE,
     MetricsRegistry,
@@ -130,6 +130,7 @@ class TestRespond:
         assert document["totals"] == {
             "cells": 4, "done": 4, "failed": 0, "leased": 0, "pending": 0,
         }
+        assert document["leases"] == []
         assert document["shard_count"] == 2
         assert len(document["shards"]) == 2
         assert document["cells_per_second"] > 0
@@ -137,6 +138,21 @@ class TestRespond:
         assert document["cache_misses"] == 4
         assert document["telemetry_writers"] == 1
         assert document["suggested_workers"] == 0
+
+    def test_status_lists_live_leases_with_holder_and_expiry(self, tmp_path):
+        run = GridRun.create(tiny_spec(), tmp_path / "run", shard_count=2)
+        stuck = run.spec.expand()[0]
+        assert LeaseQueue(run.leases_dir, worker_id="other-host",
+                          ttl_s=300.0).claim(stuck.fingerprint())
+        status, _, body = respond("GET", "/status", run.run_dir)
+        assert status == 200
+        document = json.loads(body.decode())
+        assert document["totals"]["leased"] == 1
+        [lease] = document["leases"]
+        assert lease["worker"] == "other-host"
+        assert lease["cell"] == stuck.fingerprint()[:16]
+        assert lease["shard"] == shard_of(stuck.fingerprint(), 2)
+        assert 0.0 < lease["expires_in_s"] <= 300.0
 
     def test_status_document_matches_the_view(self, executed_run):
         view = aggregate_run_metrics(executed_run.run_dir)

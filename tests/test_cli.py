@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faas import CampaignSpec, GridRun, LeaseQueue
 
 
 class TestParser:
@@ -407,6 +408,22 @@ class TestGridCli:
         capsys.readouterr()
         assert main(self.ARGS + ["--dry-run", "--cache-dir", cache]) == 0
         assert "4 cached / 0 to compute" in capsys.readouterr().out
+
+    def test_status_lists_live_lease_holders_and_expiry(self, tmp_path, capsys):
+        spec = CampaignSpec(benchmarks=("function_chain",), platforms=("aws", "azure"),
+                            seeds=(0, 1), burst_size=2)
+        run = GridRun.create(spec, tmp_path / "run")
+        stuck = spec.expand()[0]
+        assert LeaseQueue(run.leases_dir, worker_id="other-host",
+                          ttl_s=300.0).claim(stuck.fingerprint())
+        assert main(["campaign-status", str(run.run_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "cells: 0/4 done, 0 failed, 1 leased, 3 pending" in out
+        assert "live leases" in out
+        row = next(line for line in out.splitlines() if "other-host" in line)
+        cells = [cell.strip() for cell in row.split("|")]
+        assert cells[1] == stuck.fingerprint()[:16]
+        assert 0.0 < float(cells[-1]) <= 300.0
 
     def test_shard_without_run_dir_fails(self, capsys):
         assert main(self.ARGS + ["--shard", "0/2"]) == 2
