@@ -61,7 +61,6 @@ from .faas import (
     load_campaign_document,
     merge_run,
     parse_shard,
-    probe_cache,
     run_benchmark,
     run_campaign,
     run_grid_worker,
@@ -72,6 +71,7 @@ from .devtools.bench.cli import add_bench_arguments
 from .devtools.bench.cli import run_from_args as bench_run_from_args
 from .devtools.lint.cli import add_lint_arguments
 from .devtools.lint.cli import run_from_args as lint_run_from_args
+from .faas.campaign import iter_cached_cells
 from .faas.grid import DEFAULT_LEASE_TTL_S
 from .faas.results import result_to_dict
 from .observability import telemetry_session
@@ -564,6 +564,8 @@ def _print_campaign_plan(
     jobs = spec.expand()
     rows: List[dict] = []
     hits = mine = 0
+    # The run's own cache reader, so the plan and the run agree on hits.
+    cached = iter_cached_cells(cache_dir, jobs)
     for job in jobs:
         row = {
             "benchmark": job.benchmark,
@@ -580,9 +582,9 @@ def _print_campaign_plan(
             row["assigned"] = "this worker" if job_shard == index else ""
             mine += job_shard == index
         if cache_dir:
-            cached = probe_cache(cache_dir, job)
-            row["cache"] = "hit" if cached else "miss"
-            hits += cached
+            hit = next(cached)[1] is not None
+            row["cache"] = "hit" if hit else "miss"
+            hits += hit
         rows.append(row)
     print(report.format_table(rows, title))
     summary = f"plan: {len(jobs)} cells"

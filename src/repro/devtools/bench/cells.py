@@ -431,9 +431,8 @@ def _setup_merge(profile: BenchProfile) -> object:
     document = _execute_cell(jobs[0])
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-merge-")
     run = GridRun.create(spec, tmp.name, shard_count=1)
-    log = run.shard_log(0, "bench")
     for job in jobs:
-        log.append({
+        run.backend.append_record(0, "bench", {
             "fingerprint": job.fingerprint(),
             "shard": 0,
             "worker": "bench",

@@ -76,19 +76,6 @@ class FileBackend(GridBackend):
         self.leases_dir = self.root / "leases"
         self.results_dir = self.root / "results"
 
-    @classmethod
-    def for_lease_dir(cls, directory: Union[str, Path], clock=None) -> "FileBackend":
-        """A backend whose leases live directly in ``directory``.
-
-        The compatibility entry for :class:`~repro.faas.grid.LeaseQueue`
-        used standalone over a bare directory (no run layout): the directory
-        is created eagerly, exactly as the queue's constructor always did.
-        """
-        backend = cls(directory, clock=clock)
-        backend.leases_dir = Path(directory)
-        backend.leases_dir.mkdir(parents=True, exist_ok=True)
-        return backend
-
     @property
     def manifest_path(self) -> Path:
         return self.root / MANIFEST_NAME

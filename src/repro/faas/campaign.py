@@ -20,6 +20,14 @@ Three properties make campaigns practical at scale:
   fingerprint of the cell's full configuration, so re-running a campaign only
   computes the missing cells.
 
+Every execution goes through one cache driver, :func:`drive_cells`: it
+probes the cache through its one reader, :func:`iter_cached_cells`, runs the
+misses through :func:`run_cells`, and stores each fresh result.
+:func:`run_campaign` collects the cells in memory; the grid
+(:mod:`repro.faas.grid`) runs the same driver and adds leases, record
+streams, and shards around it.  The cache entry layout is read and written
+only in this module.
+
 The :class:`CampaignResult` aggregator rolls the per-cell
 :class:`~repro.faas.experiment.ExperimentResult` objects into the comparison
 tables and figure inputs of the paper's evaluation.
@@ -37,10 +45,13 @@ from time import perf_counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..observability import current_registry
 from ..sim.platforms.spec import DEFAULT_ERA, PlatformSpec, available_eras, is_builtin_spec
+from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
 from .results import result_from_dict, result_to_dict
@@ -461,6 +472,24 @@ class CampaignResult:
     spec: CampaignSpec
     cells: List[CampaignCell] = field(default_factory=list)
 
+    @classmethod
+    def assemble(
+        cls,
+        spec: CampaignSpec,
+        jobs: Sequence[CampaignJob],
+        found: Mapping[str, Tuple[ExperimentResult, bool]],
+    ) -> "CampaignResult":
+        """The ``found`` cells (fingerprint -> (result, from_cache)) in ``jobs`` order.
+
+        Cells are always listed in the spec's expansion order, whatever order
+        they finished or were merged in, so results compare bit-identically.
+        """
+        return cls(spec=spec, cells=[
+            CampaignCell(job, *found[fingerprint])
+            for job in jobs
+            if (fingerprint := job.fingerprint()) in found
+        ])
+
     @property
     def cache_hits(self) -> int:
         return sum(1 for cell in self.cells if cell.from_cache)
@@ -748,45 +777,13 @@ def _cache_path(cache_dir: Path, job: CampaignJob) -> Path:
     return cache_dir / f"{job.fingerprint()}.json"
 
 
-def _load_cached_document(cache_dir: Optional[Path], job: CampaignJob) -> Optional[Dict[str, object]]:
-    """The raw serialised result document of a cached cell, if valid."""
-    if cache_dir is None:
-        return None
-    if not is_builtin_spec(job.platform):
-        # The fingerprint covers the spec but not the runtime-registered
-        # factory behind it; editing that factory must never serve stale
-        # cached numbers, so such cells bypass the cache entirely.
-        return None
-    try:
-        # A missing file is a FileNotFoundError, so no separate stat.
-        document = json.loads(_cache_path(cache_dir, job).read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if document.get("version") != CACHE_VERSION:
-        return None
-    if document.get("fingerprint") != job.fingerprint():
-        return None
-    result_doc = document.get("result")
-    return result_doc if isinstance(result_doc, dict) else None
-
-
-def _load_cached(cache_dir: Optional[Path], job: CampaignJob) -> Optional[ExperimentResult]:
-    document = _load_cached_document(cache_dir, job)
-    if document is None:
-        return None
-    try:
-        return result_from_dict(document)
-    except (KeyError, TypeError, ValueError):
-        return None
-
-
 def scan_cache_fingerprints(cache_dir: Optional[Union[str, Path]]) -> frozenset:
     """Fingerprints that have a cache entry file, from one directory scan.
 
-    A batched existence probe: campaign and grid cache sweeps consult this
-    set before paying a per-cell open+parse, which turns N per-cell stat
-    calls on a cold or sparse cache into a single ``scandir``.  Membership is
-    only a hint -- entries are still validated per cell on load (version and
+    A batched existence probe: :func:`iter_cached_cells` consults this set
+    before paying a per-cell open+parse, which turns N per-cell stat calls
+    on a cold or sparse cache into a single ``scandir``.  Membership is only
+    a hint -- entries are still validated per cell on load (version and
     fingerprint match), so a stale or truncated file is merely a miss.
     """
     if cache_dir is None:
@@ -800,18 +797,73 @@ def scan_cache_fingerprints(cache_dir: Optional[Union[str, Path]]) -> frozenset:
         return frozenset()
 
 
+def _read_cached(
+    cache_dir: Path, job: CampaignJob
+) -> Tuple[Optional[Dict[str, object]], Optional[ExperimentResult]]:
+    try:
+        # A missing file is a FileNotFoundError, so no separate stat.
+        entry = json.loads(_cache_path(cache_dir, job).read_text())
+    except (OSError, ValueError):
+        return None, None
+    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
+        return None, None
+    document = entry.get("result")
+    if entry.get("fingerprint") != job.fingerprint() or not isinstance(document, dict):
+        return None, None
+    try:
+        return document, result_from_dict(document)
+    except (KeyError, TypeError, ValueError):
+        return None, None
+
+
+def iter_cached_cells(
+    cache_dir: Optional[Union[str, Path]], jobs: Iterable[CampaignJob]
+) -> Iterator[Tuple[CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult]]]:
+    """The cell cache's one reader: ``(job, document, result)`` per job.
+
+    One directory scan up front, then each entry is read and decoded only
+    when its job is reached, so a consumer that acts per cell (progress,
+    grid records) sees each cell right after its own load.  A missing,
+    stale (other version or fingerprint) or undecodable entry is a miss,
+    yielded as ``(job, None, None)`` -- exactly the cells a run recomputes.
+    Cells over runtime-registered platforms always miss: the fingerprint
+    covers the spec but not the factory behind it, and editing that factory
+    must never serve stale numbers.
+    """
+    cache_path = Path(cache_dir) if cache_dir is not None else None
+    present = scan_cache_fingerprints(cache_path)
+    for job in jobs:
+        if job.fingerprint() in present and is_builtin_spec(job.platform):
+            yield (job, *_read_cached(cache_path, job))  # type: ignore[arg-type]
+        else:
+            yield job, None, None
+
+
+def load_cached_campaign(
+    spec: CampaignSpec, cache_dir: Union[str, Path]
+) -> CampaignResult:
+    """Cache-only load: every cell already in ``cache_dir``, executing nothing.
+
+    The result is partial when some cells were never computed -- the
+    render-only artifact path uses this to re-render whatever a warm cache
+    holds without simulating anything.
+    """
+    return CampaignResult(spec=spec, cells=[
+        CampaignCell(job, result, from_cache=True)
+        for job, _, result in iter_cached_cells(cache_dir, spec.expand())
+        if result is not None
+    ])
+
+
 def probe_cache(cache_dir: Optional[Union[str, Path]], job: CampaignJob) -> bool:
-    """True when the cell cache already holds this job's result (dry runs)."""
-    if cache_dir is None:
-        return False
-    return _load_cached_document(Path(cache_dir), job) is not None
+    """True when a run would serve this job from the cell cache."""
+    [(_, document, _)] = iter_cached_cells(cache_dir, [job])
+    return document is not None
 
 
 def _store_cached(cache_dir: Optional[Path], job: CampaignJob, document: Dict[str, object]) -> None:
-    if cache_dir is None:
-        return
-    if not is_builtin_spec(job.platform):
-        return  # see _load_cached: runtime factories are not fingerprintable
+    if cache_dir is None or not is_builtin_spec(job.platform):
+        return  # see iter_cached_cells: runtime factories are not fingerprintable
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = {
         "version": CACHE_VERSION,
@@ -820,7 +872,10 @@ def _store_cached(cache_dir: Optional[Path], job: CampaignJob, document: Dict[st
         "result": document,
     }
     path = _cache_path(cache_dir, job)
-    tmp = path.with_suffix(".tmp")
+    # A private temp file per write: two writers of one cell (a duplicate
+    # after a lease reclaim, two workers sharing a cache) never replace
+    # each other's half-written temp.
+    tmp = path.with_name(f"{path.stem}.{_unique_token()}.tmp")
     tmp.write_text(json.dumps(payload))
     os.replace(tmp, path)
 
@@ -872,7 +927,7 @@ def run_cells(
     tick: Optional[Callable[[], None]] = None,
     tick_interval_s: Optional[float] = None,
 ) -> None:
-    """The cell-execution core shared by :func:`run_campaign` and the grid.
+    """The cell-execution core :func:`drive_cells` runs its cache misses through.
 
     Runs every admitted cell, serially (``workers <= 1``) or over a
     ``ProcessPoolExecutor``.  ``finish`` receives ``(job, document,
@@ -1107,25 +1162,75 @@ def run_cells(
                     isolated=is_builtin_spec(job.platform))
 
 
-def load_cached_campaign(
-    spec: CampaignSpec, cache_dir: Union[str, Path]
-) -> CampaignResult:
-    """Cache-only load: every cell already in ``cache_dir``, executing nothing.
+def drive_cells(
+    jobs: Sequence[CampaignJob],
+    workers: Optional[int],
+    cache_dir: Optional[Union[str, Path]],
+    deliver: Callable[
+        [CampaignJob, Dict[str, object], Optional[ExperimentResult], Optional[float]], None
+    ],
+    fail: Callable[[CellFailure], None],
+    *,
+    progress: Optional[Callable[[CampaignJob, bool], None]] = None,
+    max_retries: int = 1,
+    admit: Optional[Callable[[CampaignJob], bool]] = None,
+    skip: Optional[Callable[[CampaignJob], None]] = None,
+    tick: Optional[Callable[[], None]] = None,
+    tick_interval_s: Optional[float] = None,
+) -> None:
+    """The cache driver both :func:`run_campaign` and the grid worker run.
 
-    The result is partial when some cells were never computed -- the
-    render-only artifact path uses this to re-render whatever a warm cache
-    holds without simulating anything.
+    Probes the cell cache (:func:`iter_cached_cells`), executes the misses
+    through :func:`run_cells`, and writes each fresh result back to the
+    cache.  Every finished cell goes to ``deliver(job, document, result,
+    elapsed_s)``: a cache hit with its decoded ``result`` and no
+    ``elapsed_s``; a freshly executed cell with ``result=None`` (decoding is
+    the sink's business) and its observed wall cost.  ``progress(job,
+    from_cache)`` fires right after each delivery; permanently failed cells
+    go to ``fail``.  ``admit``/``skip``/``tick`` are :func:`run_cells`' grid
+    hooks.  Each served cell counts one cache hit and each admitted cell one
+    cache miss, so a grid worker's skipped (leased elsewhere) cells count as
+    neither.
     """
-    cache_path = Path(cache_dir)
-    cached_fingerprints = scan_cache_fingerprints(cache_path)
-    cells = []
-    for job in spec.expand():
-        if job.fingerprint() not in cached_fingerprints:
+    registry = current_registry()
+    cache_hits = registry.counter(
+        "repro_campaign_cache_hits_total",
+        "Cells served from the on-disk cell cache.",
+    )
+    cache_misses = registry.counter(
+        "repro_campaign_cache_misses_total", "Cells that had to execute."
+    )
+    cache_path = Path(cache_dir) if cache_dir is not None else None
+    pending: List[CampaignJob] = []
+    for job, document, result in iter_cached_cells(cache_path, jobs):
+        if document is None:
+            pending.append(job)
             continue
-        cached = _load_cached(cache_path, job)
-        if cached is not None:
-            cells.append(CampaignCell(job=job, result=cached, from_cache=True))
-    return CampaignResult(spec=spec, cells=cells)
+        cache_hits.inc()
+        deliver(job, document, result, None)
+        if progress is not None:
+            progress(job, True)
+
+    def admitted(job: CampaignJob) -> bool:
+        if admit is not None and not admit(job):
+            return False
+        cache_misses.inc()
+        return True
+
+    def finish(job: CampaignJob, document: Dict[str, object],
+               elapsed_s: float) -> None:
+        # Cache (and report) every cell as soon as it completes, so an
+        # interrupted run keeps the work it already did.
+        _store_cached(cache_path, job, document)
+        deliver(job, document, None, elapsed_s)
+        if progress is not None:
+            progress(job, False)
+
+    run_cells(
+        pending, workers, finish, fail,
+        max_retries=max_retries, admit=admitted, skip=skip,
+        tick=tick, tick_interval_s=tick_interval_s,
+    )
 
 
 def run_campaign(
@@ -1153,56 +1258,22 @@ def run_campaign(
     :mod:`repro.faas.grid`.
     """
     jobs = spec.expand()
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-
-    registry = current_registry()
-    cache_hits = registry.counter(
-        "repro_campaign_cache_hits_total",
-        "Cells served from the on-disk cell cache.",
-    )
-    cache_misses = registry.counter(
-        "repro_campaign_cache_misses_total", "Cells that had to execute."
-    )
-
-    results: Dict[str, Tuple[ExperimentResult, bool]] = {}
-    pending: List[CampaignJob] = []
-    cached_fingerprints = scan_cache_fingerprints(cache_path)
-    for job in jobs:
-        cached = (
-            _load_cached(cache_path, job)
-            if job.fingerprint() in cached_fingerprints
-            else None
-        )
-        if cached is not None:
-            results[job.fingerprint()] = (cached, True)
-            cache_hits.inc()
-            if progress is not None:
-                progress(job, True)
-        else:
-            cache_misses.inc()
-            pending.append(job)
-
+    found: Dict[str, Tuple[ExperimentResult, bool]] = {}
     failures: List[CellFailure] = []
 
-    def finish(job: CampaignJob, document: Dict[str, object],
-               elapsed_s: float) -> None:
-        # Cache (and report) every cell as soon as it completes, so an
-        # interrupted campaign keeps the work it already did.  The observed
-        # cost is a grid-log concern; the in-process result ignores it.
-        _store_cached(cache_path, job, document)
-        results[job.fingerprint()] = (result_from_dict(document), False)
-        if progress is not None:
-            progress(job, False)
+    def deliver(job: CampaignJob, document: Dict[str, object],
+                result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
+        # The observed cost is a grid-log concern; the in-process result
+        # ignores it.
+        found[job.fingerprint()] = (
+            (result, True) if result is not None else (result_from_dict(document), False)
+        )
 
-    run_cells(pending, workers, finish, failures.append, max_retries=max_retries)
-    cells = [
-        CampaignCell(job=job, result=results[fingerprint][0],
-                     from_cache=results[fingerprint][1])
-        for job in jobs
-        if (fingerprint := job.fingerprint()) in results
-    ]
+    drive_cells(jobs, workers, cache_dir, deliver, failures.append,
+                progress=progress, max_retries=max_retries)
+    campaign = CampaignResult.assemble(spec, jobs, found)
     if failures:
         # Without a cache_dir the on-disk salvage is a no-op, so the
         # completed cells ride along on the exception instead of being lost.
-        raise CampaignError(failures, partial=CampaignResult(spec=spec, cells=cells))
-    return CampaignResult(spec=spec, cells=cells)
+        raise CampaignError(failures, partial=campaign)
+    return campaign

@@ -32,6 +32,14 @@ and single-host elastic workers, and
 S3/GCS conditional-put semantics so thousands of workers can coordinate
 through a bucket.  The merge is bit-identical to the single-process run on
 every backend.
+
+Cell execution itself is not the grid's: :func:`run_grid_worker` runs the
+same cache driver as :func:`~repro.faas.campaign.run_campaign`
+(:func:`~repro.faas.campaign.drive_cells` -- cache probe, pooled execution,
+cache store) and differs only in where a finished cell goes: a backend
+record plus a lease done marker instead of an in-memory dict.  The grid adds
+leases, records, and shards, and reaches run state only through
+``run.backend``.
 """
 
 from __future__ import annotations
@@ -48,20 +56,15 @@ from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Uni
 
 from ..observability import current_registry
 from .backends import FileBackend, GridBackend
-from .backends.base import _safe_worker_id, _wall_clock
-from .backends.file import _unique_token  # noqa: F401  (re-exported seam)
+from .backends.base import _safe_worker_id
 from .campaign import (
     CACHE_VERSION,
-    CampaignCell,
     CampaignJob,
     CampaignResult,
     CampaignSpec,
     CellFailure,
-    _load_cached,
-    _load_cached_document,
-    _store_cached,
-    run_cells,
-    scan_cache_fingerprints,
+    drive_cells,
+    iter_cached_cells,
 )
 from .experiment import ExperimentResult
 from .results import ResultLog, result_from_dict  # noqa: F401  (ResultLog re-exported)
@@ -125,10 +128,7 @@ class LeaseQueue:
     """One worker's view of a backend's TTL leases.
 
     Binds a worker identity and TTL to a :class:`GridBackend`, so call sites
-    deal in fingerprints only.  Constructed either over a bare directory
-    (``LeaseQueue(path)`` -- the historical file-based form, still the unit
-    of coordination for standalone use) or over any backend
-    (``LeaseQueue(backend=...)``).
+    deal in fingerprints only.
 
     The lease *semantics* -- atomic claims, one-winner expiry reclaim,
     permanent done markers, availability over exclusivity -- are the
@@ -138,19 +138,12 @@ class LeaseQueue:
 
     def __init__(
         self,
-        directory: Optional[Union[str, Path]] = None,
+        backend: GridBackend,
         worker_id: str = "worker",
         ttl_s: float = DEFAULT_LEASE_TTL_S,
         clock: Optional[Callable[[], float]] = None,
-        backend: Optional[GridBackend] = None,
     ) -> None:
-        if backend is None:
-            if directory is None:
-                raise ValueError("LeaseQueue needs a directory or a backend")
-            backend = FileBackend.for_lease_dir(
-                directory, clock=clock if clock is not None else _wall_clock
-            )
-        elif clock is not None:
+        if clock is not None:
             backend.clock = clock
         self.backend = backend
         self.worker_id = worker_id
@@ -208,18 +201,6 @@ class GridScan:
 
     completed: Dict[str, Dict[str, object]] = field(default_factory=dict)
     failed: Dict[str, Dict[str, object]] = field(default_factory=dict)
-
-
-class _ShardAppender:
-    """Append handle for one (shard, worker) stream of a non-file backend."""
-
-    def __init__(self, backend: GridBackend, shard: int, worker_id: str) -> None:
-        self.backend = backend
-        self.shard = shard
-        self.worker_id = worker_id
-
-    def append(self, document: Dict[str, object]) -> None:
-        self.backend.append_record(self.shard, self.worker_id, document)
 
 
 @dataclass
@@ -347,38 +328,6 @@ class GridRun:
             return self.backend.root
         return self.backend.describe()
 
-    @property
-    def leases_dir(self) -> Path:
-        if isinstance(self.backend, FileBackend):
-            return self.backend.leases_dir
-        raise AttributeError(
-            f"{type(self.backend).__name__} keeps leases in its own medium, "
-            f"not a directory"
-        )
-
-    @property
-    def results_dir(self) -> Path:
-        if isinstance(self.backend, FileBackend):
-            return self.backend.results_dir
-        raise AttributeError(
-            f"{type(self.backend).__name__} keeps records in its own medium, "
-            f"not a directory"
-        )
-
-    def shard_log(self, shard: int, worker_id: str):
-        """This worker's private append segment of a shard's result stream.
-
-        For the file backend this is the worker's own JSONL
-        :class:`~repro.faas.results.ResultLog` (no two processes ever write
-        the same file); other backends return a lightweight appender bound to
-        the same ``(shard, worker)`` coordinates.  Readers fold all of a
-        shard's segments together (:meth:`iter_shard_records`); the merge is
-        order-independent, so the segmentation is invisible to consumers.
-        """
-        if isinstance(self.backend, FileBackend):
-            return self.backend.shard_log(shard, worker_id)
-        return _ShardAppender(self.backend, shard, worker_id)
-
     def iter_shard_records(self, shard: int) -> Iterator[Dict[str, object]]:
         """Every record of a shard, streamed across all worker segments."""
         return self.backend.iter_records(shard)
@@ -487,59 +436,26 @@ def run_grid_worker(
     leases = LeaseQueue(
         backend=run.backend, worker_id=worker_id, ttl_s=lease_ttl_s, clock=clock,
     )
-    cache_path = Path(cache_dir) if cache_dir is not None else None
 
-    # Telemetry handles (no-ops unless a recording registry is current).
+    # Telemetry handle (a no-op unless a recording registry is current).
     registry = current_registry()
-    grid_cache_hits = registry.counter(
-        "repro_campaign_cache_hits_total",
-        "Cells served from the on-disk cell cache.",
-    )
     lease_depth = registry.gauge(
         "repro_grid_lease_queue_depth", "Leases this worker currently holds."
     )
 
     scan = run.scan(shard)
-    cached_fingerprints = scan_cache_fingerprints(cache_path)
-    pending: List[CampaignJob] = []
+    jobs: List[CampaignJob] = []
     for job in run.spec.expand():
         fingerprint = job.fingerprint()
-        job_shard = shard_of(fingerprint, run.shard_count)
-        if shard is not None and job_shard != shard:
+        if shard is not None and shard_of(fingerprint, run.shard_count) != shard:
             continue
         if fingerprint in scan.completed:
             report.already_done += 1
-            continue
-        cached_document = (
-            _load_cached_document(cache_path, job)
-            if fingerprint in cached_fingerprints
-            else None
-        )
-        if cached_document is not None:
-            try:
-                result_from_dict(cached_document)
-            except (KeyError, TypeError, ValueError):
-                cached_document = None  # merge could not use it: a miss, as in run_campaign
-        if cached_document is not None:
-            # Log cache-served cells too, so a merge needs only the logs.
-            run.backend.append_record(job_shard, worker_id, {
-                "fingerprint": fingerprint,
-                "shard": job_shard,
-                "worker": worker_id,
-                "from_cache": True,
-                "job": job.to_dict(),
-                "result": cached_document,
-            })
-            leases.mark_done(fingerprint)
-            report.cache_hits += 1
-            grid_cache_hits.inc()
-            if progress is not None:
-                progress(job, True)
-            continue
-        pending.append(job)
+        else:
+            jobs.append(job)
     if priority:
         # Stable sort: equal-rank cells keep the expansion order above.
-        pending.sort(key=lambda job: -float(priority.get(job.fingerprint(), 0.0)))
+        jobs.sort(key=lambda job: -float(priority.get(job.fingerprint(), 0.0)))
 
     # Held leases -> when we last wrote them (claim or renew), on the lease
     # clock.  A lease is rewritten only once it is due, not on every tick.
@@ -573,53 +489,48 @@ def run_grid_worker(
         lease_depth.set(len(held))
         registry.flush(min_interval_s=1.0)
 
-    def finish(job: CampaignJob, document: Dict[str, object],
-               elapsed_s: Optional[float] = None) -> None:
+    def append(job: CampaignJob, fields: Dict[str, object]) -> str:
+        """Log one settled cell and stop heartbeating it; its fingerprint."""
         fingerprint = job.fingerprint()
         job_shard = shard_of(fingerprint, run.shard_count)
-        _store_cached(cache_path, job, document)
-        record: Dict[str, object] = {
-            "fingerprint": fingerprint,
-            "shard": job_shard,
-            "worker": worker_id,
-            "from_cache": False,
-            "job": job.to_dict(),
-            "result": document,
+        run.backend.append_record(job_shard, worker_id, {
+            "fingerprint": fingerprint, "shard": job_shard, "worker": worker_id,
+            **fields,
+        })
+        held.pop(fingerprint, None)
+        lease_depth.set(len(held))
+        return fingerprint
+
+    def deliver(job: CampaignJob, document: Dict[str, object],
+                result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
+        # Cache-served cells are logged too, so a merge needs only the logs.
+        fields: Dict[str, object] = {
+            "from_cache": result is not None, "job": job.to_dict(), "result": document,
         }
         if elapsed_s is not None:
             # Observed wall cost of this cell; autoscale_hint() medians these
             # to size the fleet.  Merge/scan ignore unknown record keys.
-            record["elapsed_s"] = round(float(elapsed_s), 6)
-        run.backend.append_record(job_shard, worker_id, record)
-        held.pop(fingerprint, None)
-        lease_depth.set(len(held))
+            fields["elapsed_s"] = round(float(elapsed_s), 6)
         # A done marker instead of a plain release: a concurrent worker whose
         # startup scan predates this completion must not re-claim the cell.
-        leases.mark_done(fingerprint)
-        report.executed += 1
-        if progress is not None:
-            progress(job, False)
+        leases.mark_done(append(job, fields))
+        if result is None:
+            report.executed += 1
+        else:
+            report.cache_hits += 1
 
     def fail(failure: CellFailure) -> None:
-        fingerprint = failure.job.fingerprint()
-        job_shard = shard_of(fingerprint, run.shard_count)
-        run.backend.append_record(job_shard, worker_id, {
-            "fingerprint": fingerprint,
-            "shard": job_shard,
-            "worker": worker_id,
+        leases.release(append(failure.job, {
             "job": failure.job.to_dict(),
             "error": failure.error,
             "attempts": failure.attempts,
-        })
-        held.pop(fingerprint, None)
-        lease_depth.set(len(held))
-        leases.release(fingerprint)
+        }))
         report.failed += 1
         report.failures.append(failure)
 
-    run_cells(
-        pending, workers, finish, fail,
-        max_retries=max_retries,
+    drive_cells(
+        jobs, workers, cache_dir, deliver, fail,
+        progress=progress, max_retries=max_retries,
         admit=admit, skip=skip,
         tick=tick, tick_interval_s=max(renew_after_s, 0.05),
     )
@@ -663,29 +574,18 @@ def merge_run(
             except (KeyError, TypeError, ValueError):
                 continue  # corrupt record; a duplicate or the cache may supply it
             merged[fingerprint] = (result, bool(record.get("from_cache", False)))
-    cache_path = Path(cache_dir) if cache_dir is not None else None
-    if cache_path is not None:
-        for job in jobs:
-            fingerprint = job.fingerprint()
-            if fingerprint in merged:
-                continue
-            cached = _load_cached(cache_path, job)
-            if cached is not None:
-                merged[fingerprint] = (cached, True)
-    missing = [job for job in jobs if job.fingerprint() not in merged]
+    unmerged = [job for job in jobs if job.fingerprint() not in merged]
+    for job, _, result in iter_cached_cells(cache_dir, unmerged):
+        if result is not None:
+            merged[job.fingerprint()] = (result, True)
+    missing = [job for job in unmerged if job.fingerprint() not in merged]
     if missing and not allow_partial:
         raise ValueError(
             f"run is incomplete: {len(missing)}/{len(jobs)} cells have no result "
             f"yet (e.g. {missing[0].cell_key!r}); run more workers, resume the "
             f"run, or merge with allow_partial=True for a preview"
         )
-    cells = [
-        CampaignCell(job=job, result=merged[fingerprint][0],
-                     from_cache=merged[fingerprint][1])
-        for job in jobs
-        if (fingerprint := job.fingerprint()) in merged
-    ]
-    return CampaignResult(spec=run.spec, cells=cells)
+    return CampaignResult.assemble(run.spec, jobs, merged)
 
 
 def iter_partial_merges(

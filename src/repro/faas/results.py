@@ -232,7 +232,7 @@ class ResultLog:
     survives the writer dying.  ``O_APPEND`` writes are atomic on local
     filesystems but *not* over NFS, so the intended deployment is a single
     writer per log file -- the grid gives every worker its own log segment
-    (:meth:`repro.faas.grid.GridRun.shard_log`) rather than sharing one.
+    (:meth:`repro.faas.backends.file.FileBackend.shard_log`) rather than sharing one.
     Iteration is tolerant by design: a truncated trailing line (a worker
     killed mid-append) or an otherwise corrupt line is skipped rather than
     aborting the merge; a later retry or duplicate record supplies the cell.

@@ -137,16 +137,11 @@ def cells_per_second(registry: MetricsRegistry) -> Optional[float]:
 def cache_hit_rate(registry: MetricsRegistry) -> Optional[Tuple[float, int, int]]:
     """``(rate, hits, misses)`` over the run so far, or None before any probe.
 
-    Grid workers count hits but not misses (an executed cell *is* the miss),
-    so misses fall back to executed+failed cells when the explicit miss
-    counter is behind.
+    Both counters come from the one cache driver every worker runs: a hit
+    per cache-served cell, a miss per cell admitted for execution.
     """
     hits = _counter_value(registry, "repro_campaign_cache_hits_total")
-    misses = max(
-        _counter_value(registry, "repro_campaign_cache_misses_total"),
-        _counter_value(registry, "repro_campaign_cells_done_total")
-        + _counter_value(registry, "repro_campaign_cells_failed_total"),
-    )
+    misses = _counter_value(registry, "repro_campaign_cache_misses_total")
     attempts = hits + misses
     if attempts <= 0:
         return None

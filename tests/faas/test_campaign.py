@@ -223,7 +223,46 @@ class TestCampaignCache:
         assert rerun.aggregated_medians() == first.aggregated_medians()
         # ... and the recomputed cell was written back.
         assert job.fingerprint() in real_scan(tmp_path)
-        assert campaign_module._load_cached_document(tmp_path / "gone", job) is None
+        assert list(campaign_module.iter_cached_cells(tmp_path / "gone", [job])) == \
+            [(job, None, None)]
+
+    def test_store_leaves_a_rival_writers_temp_file_alone(self, tmp_path):
+        """Two writers of one cell (a duplicate after a lease reclaim, two
+        workers sharing a cache) must not share a temp file: the first
+        writer's rename would publish the rival's half-written temp, and the
+        rival's own rename would then fail."""
+        from repro.faas.campaign import (
+            _cache_path, _store_cached, execute_job_inline, iter_cached_cells,
+        )
+
+        job = small_spec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,)).expand()[0]
+        document = execute_job_inline(job)
+        rival = _cache_path(tmp_path, job).with_suffix(".tmp")
+        rival.write_text("half-written by a rival")
+        _store_cached(tmp_path, job, document)
+        assert rival.read_text() == "half-written by a rival"
+        assert sorted(path.name for path in tmp_path.iterdir()) == \
+            sorted([rival.name, f"{job.fingerprint()}.json"])
+        [(_, stored, result)] = iter_cached_cells(tmp_path, [job])
+        assert stored == document
+        assert result_to_dict(result) == document
+
+    def test_undecodable_entry_probes_as_a_miss(self, tmp_path):
+        """The dry run agrees with the run: an entry with the current version
+        and fingerprint whose result does not decode is a miss for both."""
+        from repro.faas.campaign import _cache_path, probe_cache
+
+        spec = small_spec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,))
+        job = spec.expand()[0]
+        run_campaign(spec, workers=1, cache_dir=tmp_path)
+        assert probe_cache(tmp_path, job)
+        path = _cache_path(tmp_path, job)
+        entry = json.loads(path.read_text())
+        entry["result"] = {}
+        path.write_text(json.dumps(entry))
+        assert not probe_cache(tmp_path, job)
+        assert run_campaign(spec, workers=1, cache_dir=tmp_path).cache_hits == 0
+        assert probe_cache(tmp_path, job)  # the rerun rewrote the entry
 
 
 class TestFaultIsolation:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.faas import (
     CampaignSpec,
+    FileBackend,
     GridRun,
     LeaseQueue,
     MemoryBackend,
@@ -23,7 +24,8 @@ from repro.faas import (
     run_grid_worker,
     shard_of,
 )
-from repro.faas import grid
+from repro.faas import campaign, grid
+from repro.faas.results import result_from_dict
 from repro.observability import MetricsRegistry, use_registry
 
 
@@ -132,8 +134,8 @@ class TestLeaseQueue:
     FP = "f" * 64
 
     def test_claim_is_exclusive_until_released(self, tmp_path):
-        ours = LeaseQueue(tmp_path, worker_id="a")
-        theirs = LeaseQueue(tmp_path, worker_id="b")
+        ours = LeaseQueue(FileBackend(tmp_path), worker_id="a")
+        theirs = LeaseQueue(FileBackend(tmp_path), worker_id="b")
         assert ours.claim(self.FP)
         assert not theirs.claim(self.FP)
         assert self.FP in theirs.active()
@@ -143,8 +145,8 @@ class TestLeaseQueue:
     def test_expired_lease_is_reclaimed(self, tmp_path):
         """Acceptance: a crashed worker's cells come back after the TTL."""
         clock = FakeClock()
-        crashed = LeaseQueue(tmp_path, worker_id="crashed", ttl_s=30.0, clock=clock)
-        rescuer = LeaseQueue(tmp_path, worker_id="rescuer", ttl_s=60.0, clock=clock)
+        crashed = LeaseQueue(FileBackend(tmp_path), worker_id="crashed", ttl_s=30.0, clock=clock)
+        rescuer = LeaseQueue(FileBackend(tmp_path), worker_id="rescuer", ttl_s=60.0, clock=clock)
         assert crashed.claim(self.FP)
         assert not rescuer.claim(self.FP)
         clock.advance(31.0)
@@ -154,7 +156,7 @@ class TestLeaseQueue:
 
     def test_renew_extends_the_deadline(self, tmp_path):
         clock = FakeClock()
-        queue = LeaseQueue(tmp_path, worker_id="a", ttl_s=30.0, clock=clock)
+        queue = LeaseQueue(FileBackend(tmp_path), worker_id="a", ttl_s=30.0, clock=clock)
         assert queue.claim(self.FP)
         first = queue.read(self.FP)["deadline"]
         clock.advance(5.0)
@@ -162,16 +164,17 @@ class TestLeaseQueue:
         assert queue.read(self.FP)["deadline"] > first
 
     def test_corrupt_lease_is_reclaimable(self, tmp_path):
-        queue = LeaseQueue(tmp_path, worker_id="a")
-        (tmp_path / f"{self.FP}.lease").write_text("{ not json")
+        queue = LeaseQueue(FileBackend(tmp_path), worker_id="a")
+        queue.backend.leases_dir.mkdir(parents=True)
+        (queue.backend.leases_dir / f"{self.FP}.lease").write_text("{ not json")
         assert queue.claim(self.FP)
 
     def test_stale_worker_cannot_renew_or_release_a_reclaimed_lease(self, tmp_path):
         """A worker that stalled past its TTL must not clobber (or delete)
         the claim of the rival that legitimately reclaimed its cell."""
         clock = FakeClock()
-        stale = LeaseQueue(tmp_path, worker_id="stale", ttl_s=30.0, clock=clock)
-        rival = LeaseQueue(tmp_path, worker_id="rival", ttl_s=600.0, clock=clock)
+        stale = LeaseQueue(FileBackend(tmp_path), worker_id="stale", ttl_s=30.0, clock=clock)
+        rival = LeaseQueue(FileBackend(tmp_path), worker_id="rival", ttl_s=600.0, clock=clock)
         assert stale.claim(self.FP)
         clock.advance(31.0)
         assert rival.claim(self.FP)
@@ -185,19 +188,21 @@ class TestLeaseQueue:
         """A finished cell's done marker blocks claims forever -- it has no
         deadline, so it must not fall through to the expired-reclaim path."""
         clock = FakeClock()
-        finisher = LeaseQueue(tmp_path, worker_id="finisher", ttl_s=1.0, clock=clock)
+        finisher = LeaseQueue(FileBackend(tmp_path), worker_id="finisher", ttl_s=1.0, clock=clock)
         finisher.mark_done(self.FP)
         clock.advance(3600.0)  # long past any TTL
-        late = LeaseQueue(tmp_path, worker_id="late", ttl_s=60.0, clock=clock)
+        late = LeaseQueue(FileBackend(tmp_path), worker_id="late", ttl_s=60.0, clock=clock)
         assert late.claim(self.FP) is False
         assert late.active() == {}  # not a live lease either
 
     def test_no_temp_files_left_behind(self, tmp_path):
-        queue = LeaseQueue(tmp_path, worker_id="a")
+        queue = LeaseQueue(FileBackend(tmp_path), worker_id="a")
         queue.claim(self.FP)
-        LeaseQueue(tmp_path, worker_id="b").claim(self.FP)
+        LeaseQueue(FileBackend(tmp_path), worker_id="b").claim(self.FP)
+        leases_dir = queue.backend.leases_dir
+        assert list(leases_dir.glob("*.lease"))  # the directory the claims used
         queue.release(self.FP)
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert list(leases_dir.glob("*.tmp")) == []
 
 
 class TestLeaseHeartbeat:
@@ -214,7 +219,7 @@ class TestLeaseHeartbeat:
     def hooks(self, clock: FakeClock):
         """A worker's real admit/tick hooks, driven by hand.
 
-        ``run_cells`` is swapped for a stub that captures its hooks instead of
+        ``campaign.run_cells`` is swapped for a stub that captures its hooks instead of
         executing cells, so the test decides when each tick fires and what
         time it is on the lease clock.
         """
@@ -225,7 +230,7 @@ class TestLeaseHeartbeat:
 
         run = GridRun.create(tiny_spec(), backend=MemoryBackend(clock=clock))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(grid, "run_cells", capture)
+            patch.setattr(campaign, "run_cells", capture)
             run_grid_worker(run, workers=2, worker_id="w", lease_ttl_s=self.TTL,
                             clock=clock)
         return run, captured
@@ -423,7 +428,7 @@ class TestGridExecution:
         # the crash lease expired for the resuming worker without sleeping.
         clock = FakeClock()
         victim = plan_shards(spec, 2)[1][0]
-        crashed = LeaseQueue(run.leases_dir, worker_id="crashed", ttl_s=30.0,
+        crashed = LeaseQueue(run.backend, worker_id="crashed", ttl_s=30.0,
                              clock=clock)
         assert crashed.claim(victim.fingerprint())
         clock.advance(31.0)
@@ -437,7 +442,7 @@ class TestGridExecution:
         spec = tiny_spec()
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         victim = spec.expand()[0]
-        holder = LeaseQueue(run.leases_dir, worker_id="other-host", ttl_s=300.0)
+        holder = LeaseQueue(run.backend, worker_id="other-host", ttl_s=300.0)
         assert holder.claim(victim.fingerprint())
         report = run_grid_worker(run, workers=1)
         assert report.skipped_leased == 1
@@ -483,6 +488,30 @@ class TestGridExecution:
         assert [cell["result"] for cell in merged.to_dict(include_results=True)["cells"]] == \
             [cell["result"] for cell in clean.to_dict(include_results=True)["cells"]]
 
+    def test_warm_cells_decode_once_per_reader(self, tmp_path, monkeypatch):
+        """On a warm cache ``run_campaign`` decodes each cell exactly once;
+        a grid worker plus ``merge_run`` decodes it exactly twice (once to
+        validate the cached entry, once to merge the record)."""
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+        run_campaign(spec, workers=1, cache_dir=cache)
+        decoded = []
+
+        def spy(document):
+            decoded.append(document)
+            return result_from_dict(document)
+
+        monkeypatch.setattr(campaign, "result_from_dict", spy)
+        monkeypatch.setattr(grid, "result_from_dict", spy)
+        assert run_campaign(spec, workers=1, cache_dir=cache).cache_hits == 4
+        assert len(decoded) == 4
+        decoded.clear()
+        run = GridRun.create(spec, tmp_path / "run", shard_count=2)
+        assert run_grid_worker(run, workers=1, cache_dir=cache).cache_hits == 4
+        assert len(decoded) == 4
+        assert merge_run(run).cache_hits == 4
+        assert len(decoded) == 8
+
     def test_failed_cells_are_recorded_not_raised(self, tmp_path):
         spec = tiny_spec(
             benchmarks=("function_chain", "does_not_exist"),
@@ -524,7 +553,7 @@ class TestGridExecution:
         # host-b finds everything done, but a cache-served rerun of host-b
         # over a fresh cell set would write its own segment; force one record
         # through the API to check the naming.
-        run.shard_log(0, "host-b").append({"fingerprint": "x", "shard": 0})
+        run.backend.append_record(0, "host-b", {"fingerprint": "x", "shard": 0})
         segments = sorted(p.name for p in (run.run_dir / "results").iterdir())
         assert segments == ["shard-0000.host-a.jsonl", "shard-0000.host-b.jsonl"]
         # Readers fold every segment.
@@ -552,7 +581,7 @@ class TestGridExecution:
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         run_grid_worker(run, workers=1, worker_id="first")
         fingerprint = spec.expand()[0].fingerprint()
-        stale = LeaseQueue(run.leases_dir, worker_id="stale-scan", ttl_s=60.0)
+        stale = LeaseQueue(run.backend, worker_id="stale-scan", ttl_s=60.0)
         assert stale.claim(fingerprint) is False
 
     def test_unmergeable_result_record_does_not_mark_the_cell_done(self, tmp_path):
@@ -561,7 +590,7 @@ class TestGridExecution:
         spec = tiny_spec(platforms=("aws",), seeds=(0,))
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         job = spec.expand()[0]
-        run.shard_log(0, "bad-writer").append({
+        run.backend.append_record(0, "bad-writer", {
             "fingerprint": job.fingerprint(), "shard": 0,
             "result": "not a result document",
         })
@@ -589,7 +618,7 @@ class TestMergeProperties:
         clone_dir = tmp_path / "clone"
         clone = GridRun.create(source.spec, clone_dir, shard_count=source.shard_count)
         for record in records:
-            clone.shard_log(int(record["shard"]), "rewrite").append(record)
+            clone.backend.append_record(int(record["shard"]), "rewrite", record)
         return clone
 
     def all_records(self, run: GridRun):
@@ -635,10 +664,14 @@ class TestMergeProperties:
         clone = self.rewritten_run(
             executed_run, tmp_path_factory.mktemp("noise"), records
         )
-        log = clone.shard_log(0, "noise")
-        log.append({"fingerprint": "0" * 64, "shard": 0, "result": {}})  # not in spec
-        log.append({"fingerprint": records[0]["fingerprint"], "shard": 0})  # no result
-        with open(log.path, "a", encoding="utf-8") as handle:
+        noise = [
+            {"fingerprint": "0" * 64, "shard": 0, "result": {}},  # not in spec
+            {"fingerprint": records[0]["fingerprint"], "shard": 0},  # no result
+        ]
+        for record in noise:
+            clone.backend.append_record(0, "noise", record)
+        log_path = clone.backend.results_dir / "shard-0000.noise.jsonl"
+        with open(log_path, "a", encoding="utf-8") as handle:
             handle.write("garbage line\n")
         assert json.dumps(merge_run(clone).to_dict(), sort_keys=True) == \
             json.dumps(merge_run(executed_run).to_dict(), sort_keys=True)

@@ -8,12 +8,20 @@ import json
 
 import pytest
 
-from repro.faas import CampaignSpec, GridRun, LeaseQueue, run_grid_worker, shard_of
+from repro.faas import (
+    CampaignSpec,
+    GridRun,
+    LeaseQueue,
+    run_campaign,
+    run_grid_worker,
+    shard_of,
+)
 from repro.observability import (
     CONTENT_TYPE,
     MetricsRegistry,
     parse_prometheus,
     telemetry_session,
+    use_registry,
 )
 from repro.serve import (
     aggregate_run_metrics,
@@ -88,15 +96,23 @@ class TestDerivedRates:
         registry.counter("repro_campaign_cache_misses_total").inc(1)
         assert cache_hit_rate(registry) == (0.75, 3, 1)
 
-    def test_cache_hit_rate_falls_back_to_executed_cells_as_misses(self):
-        # Grid workers count hits but not misses: executed cells stand in.
-        registry = MetricsRegistry()
-        registry.counter("repro_campaign_cache_hits_total").inc(1)
-        registry.counter("repro_campaign_cells_done_total").inc(2)
-        registry.counter("repro_campaign_cells_failed_total").inc(1)
+    def test_grid_worker_counts_hits_and_misses(self, tmp_path):
+        """A grid worker counts one hit per cache-served cell and one miss
+        per cell it admits; a cell leased elsewhere is neither."""
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+        run_campaign(CampaignSpec.from_dict(dict(spec.to_dict(), seeds=[0])),
+                     workers=1, cache_dir=cache)  # warms the two seed-0 cells
+        run = GridRun.create(spec, tmp_path / "run")
+        leased = spec.expand()[-1]
+        assert leased.seed_index == 1
+        assert LeaseQueue(run.backend, worker_id="other-host").claim(leased.fingerprint())
+        with use_registry(MetricsRegistry()) as registry:
+            report = run_grid_worker(run, workers=1, cache_dir=cache)
+        assert (report.cache_hits, report.executed, report.skipped_leased) == (2, 1, 1)
         rate, hits, misses = cache_hit_rate(registry)
-        assert (hits, misses) == (1, 3)
-        assert rate == pytest.approx(0.25)
+        assert (hits, misses) == (2, 1)
+        assert rate == pytest.approx(2 / 3)
 
     def test_cache_hit_rate_none_before_any_probe(self):
         assert cache_hit_rate(MetricsRegistry()) is None
@@ -142,7 +158,7 @@ class TestRespond:
     def test_status_lists_live_leases_with_holder_and_expiry(self, tmp_path):
         run = GridRun.create(tiny_spec(), tmp_path / "run", shard_count=2)
         stuck = run.spec.expand()[0]
-        assert LeaseQueue(run.leases_dir, worker_id="other-host",
+        assert LeaseQueue(run.backend, worker_id="other-host",
                           ttl_s=300.0).claim(stuck.fingerprint())
         status, _, body = respond("GET", "/status", run.run_dir)
         assert status == 200

@@ -409,12 +409,25 @@ class TestGridCli:
         assert main(self.ARGS + ["--dry-run", "--cache-dir", cache]) == 0
         assert "4 cached / 0 to compute" in capsys.readouterr().out
 
+    def test_dry_run_counts_an_undecodable_entry_as_to_compute(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(self.ARGS + ["--cache-dir", str(cache)]) == 0
+        entry_path = sorted(cache.glob("*.json"))[0]
+        entry = json.loads(entry_path.read_text())
+        entry["result"] = {}
+        entry_path.write_text(json.dumps(entry))
+        capsys.readouterr()
+        assert main(self.ARGS + ["--dry-run", "--cache-dir", str(cache)]) == 0
+        assert "3 cached / 1 to compute" in capsys.readouterr().out
+        assert main(self.ARGS + ["--cache-dir", str(cache)]) == 0
+        assert "cache: 3/4 cells served" in capsys.readouterr().out
+
     def test_status_lists_live_lease_holders_and_expiry(self, tmp_path, capsys):
         spec = CampaignSpec(benchmarks=("function_chain",), platforms=("aws", "azure"),
                             seeds=(0, 1), burst_size=2)
         run = GridRun.create(spec, tmp_path / "run")
         stuck = spec.expand()[0]
-        assert LeaseQueue(run.leases_dir, worker_id="other-host",
+        assert LeaseQueue(run.backend, worker_id="other-host",
                           ttl_s=300.0).claim(stuck.fingerprint())
         assert main(["campaign-status", str(run.run_dir)]) == 0
         out = capsys.readouterr().out
