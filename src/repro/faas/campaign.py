@@ -54,7 +54,7 @@ from ..sim.platforms.spec import DEFAULT_ERA, PlatformSpec, available_eras, is_b
 from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
-from .results import result_from_dict, result_to_dict
+from .results import DECODE_ERRORS, result_from_dict, result_to_dict
 from .workload import WorkloadSpec
 
 #: Bump when the cached document layout changes; stale entries are recomputed.
@@ -812,7 +812,7 @@ def _read_cached(
         return None, None
     try:
         return document, result_from_dict(document)
-    except (KeyError, TypeError, ValueError):
+    except DECODE_ERRORS:
         return None, None
 
 

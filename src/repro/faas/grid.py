@@ -67,7 +67,7 @@ from .campaign import (
     iter_cached_cells,
 )
 from .experiment import ExperimentResult
-from .results import ResultLog, result_from_dict  # noqa: F401  (ResultLog re-exported)
+from .results import DECODE_ERRORS, ResultLog, result_from_dict  # noqa: F401  (ResultLog re-exported)
 
 #: Bump when the run-directory layout changes incompatibly.
 GRID_VERSION = 1
@@ -571,7 +571,7 @@ def merge_run(
                 continue
             try:
                 result = result_from_dict(result_document)
-            except (KeyError, TypeError, ValueError):
+            except DECODE_ERRORS:
                 continue  # corrupt record; a duplicate or the cache may supply it
             merged[fingerprint] = (result, bool(record.get("from_cache", False)))
     unmerged = [job for job in jobs if job.fingerprint() not in merged]

@@ -24,6 +24,11 @@ from .metrics import open_loop_summary_over_repetitions, summarize
 from .trigger import repetition_of_invocation
 from .workload import WorkloadSpec
 
+#: What :func:`result_from_dict` raises on a malformed document, and all it
+#: raises: the cell cache and the grid merge catch exactly this tuple and
+#: treat the document as a miss.
+DECODE_ERRORS = (KeyError, TypeError, ValueError)
+
 
 def measurement_to_dict(measurement: WorkflowMeasurement) -> Dict[str, object]:
     document: Dict[str, object] = {
@@ -163,13 +168,30 @@ def result_from_dict(document: Dict[str, object]) -> ExperimentResult:
 
     The summary is recomputed from the measurements (it is derived data); the
     cost report is restored from the unrounded ``cost`` entry when present.
+    A malformed document raises one of :data:`DECODE_ERRORS`, never anything
+    else, so every reader can treat it as a miss.
     """
+    try:
+        return _decode_result(document)
+    except OverflowError as error:
+        # A JSON integer too large for a float is an out-of-range value.
+        raise ValueError(f"result document holds an out-of-range number: {error}") from error
+
+
+def _object(node: object, what: str) -> Dict[str, object]:
+    """``node`` if it is a JSON object; a wrong-typed node is a TypeError."""
+    if not isinstance(node, dict):
+        raise TypeError(f"{what} must be a JSON object, not {type(node).__name__}")
+    return node
+
+
+def _decode_result(document: Dict[str, object]) -> ExperimentResult:
     config_doc = dict(document["config"])  # type: ignore[arg-type]
     memory_mb = config_doc.get("memory_mb")
     # Documents predating the workload and platform-spec fields raise a
     # KeyError here, which the cell cache treats as a miss.
     workload = WorkloadSpec.from_dict(config_doc["workload"])  # type: ignore[arg-type]
-    platform = PlatformSpec.from_dict(config_doc["platform_spec"])  # type: ignore[arg-type]
+    platform = PlatformSpec.from_dict(_object(config_doc["platform_spec"], "platform_spec"))
     config = ExperimentConfig(
         platform=platform,
         seed=int(config_doc["seed"]),
@@ -186,6 +208,7 @@ def result_from_dict(document: Dict[str, object]) -> ExperimentResult:
         scaling_profile=list(document.get("scaling_profile", [])),
     )
     for entry in document.get("orchestration", []):
+        entry = _object(entry, "an orchestration entry")
         result.orchestration_stats.append(
             OrchestrationStats(
                 platform=str(entry.get("platform", result.platform)),

@@ -57,6 +57,14 @@ def _short_chunk(payloads):
     return []
 
 
+#: Result documents broken in ways the decoder once let escape as an
+#: AttributeError instead of a decode error (a string where an object belongs).
+MALFORMED_RESULTS = {
+    "platform_spec": lambda document: document["config"].update(platform_spec="aws"),
+    "orchestration": lambda document: document.update(orchestration=["x"]),
+}
+
+
 def small_spec(**overrides) -> CampaignSpec:
     params = dict(
         benchmarks=("mapreduce", "function_chain"),
@@ -262,6 +270,36 @@ class TestCampaignCache:
         path.write_text(json.dumps(entry))
         assert not probe_cache(tmp_path, job)
         assert run_campaign(spec, workers=1, cache_dir=tmp_path).cache_hits == 0
+        assert probe_cache(tmp_path, job)  # the rerun rewrote the entry
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_RESULTS))
+    def test_malformed_entry_probes_as_a_miss(self, tmp_path, shape):
+        from repro.faas.campaign import _cache_path, probe_cache
+
+        spec = small_spec(benchmarks=("function_chain",), platforms=("aws",), seeds=(0,))
+        job = spec.expand()[0]
+        run_campaign(spec, workers=1, cache_dir=tmp_path)
+        path = _cache_path(tmp_path, job)
+        entry = json.loads(path.read_text())
+        MALFORMED_RESULTS[shape](entry["result"])
+        path.write_text(json.dumps(entry))
+        assert not probe_cache(tmp_path, job)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_RESULTS))
+    def test_malformed_entry_is_recomputed(self, tmp_path, shape):
+        from repro.faas.campaign import _cache_path, probe_cache
+
+        spec = small_spec(benchmarks=("function_chain",), platforms=("aws",), seeds=(0,))
+        job = spec.expand()[0]
+        first = run_campaign(spec, workers=1, cache_dir=tmp_path)
+        path = _cache_path(tmp_path, job)
+        entry = json.loads(path.read_text())
+        MALFORMED_RESULTS[shape](entry["result"])
+        path.write_text(json.dumps(entry))
+        rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)
+        assert rerun.cache_hits == 0
+        assert rerun.to_dict(include_results=True)["cells"][0]["result"] == \
+            first.to_dict(include_results=True)["cells"][0]["result"]
         assert probe_cache(tmp_path, job)  # the rerun rewrote the entry
 
 

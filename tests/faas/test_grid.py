@@ -676,6 +676,22 @@ class TestMergeProperties:
         assert json.dumps(merge_run(clone).to_dict(), sort_keys=True) == \
             json.dumps(merge_run(executed_run).to_dict(), sort_keys=True)
 
+    @pytest.mark.parametrize("shape", ["platform_spec", "orchestration"])
+    def test_merge_skips_malformed_records(self, executed_run, tmp_path_factory, shape):
+        """A logged result that does not decode is skipped like a corrupt
+        line, and a later duplicate supplies the cell."""
+        records = self.all_records(executed_run)
+        broken = json.loads(json.dumps(records[0]))
+        if shape == "platform_spec":
+            broken["result"]["config"]["platform_spec"] = "aws"
+        else:
+            broken["result"]["orchestration"] = ["x"]
+        clone = self.rewritten_run(
+            executed_run, tmp_path_factory.mktemp("malformed"), [broken] + records
+        )
+        assert json.dumps(merge_run(clone).to_dict(include_results=True), sort_keys=True) == \
+            json.dumps(merge_run(executed_run).to_dict(include_results=True), sort_keys=True)
+
 
 class TestPartialMergeStream:
     def test_stream_ends_when_the_run_settles(self, tmp_path):
