@@ -19,6 +19,7 @@ import json
 import threading
 from typing import Dict, Iterator, List, Optional
 
+from ..results import parse_json_object
 from .base import GridBackend, _renewable, _wall_clock
 
 
@@ -125,11 +126,9 @@ class MemoryBackend(GridBackend):
         with self._lock:
             lines = list(self._records.get(int(shard), ()))
         for line in lines:
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn record; the merge recovers from duplicates
-            if isinstance(record, dict):
+            # A torn record is skipped; the merge recovers from duplicates.
+            record = parse_json_object(line)
+            if record is not None:
                 yield record
 
     # -- manifest ------------------------------------------------------------

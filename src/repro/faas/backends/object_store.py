@@ -30,6 +30,7 @@ import json
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..results import parse_json_object
 from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
 
 
@@ -126,14 +127,6 @@ class ObjectStoreBackend(GridBackend):
             "deadline": self.clock() + ttl_s,
         })
 
-    @staticmethod
-    def _parse(body: str) -> Optional[Dict[str, object]]:
-        try:
-            document = json.loads(body)
-        except json.JSONDecodeError:
-            return None
-        return document if isinstance(document, dict) else None
-
     def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
         key = self._lease_key(fingerprint)
         current = self.store.get(key)
@@ -147,7 +140,7 @@ class ObjectStoreBackend(GridBackend):
             if current is None:
                 self._record_op("claim_conflict")
                 return False  # created and deleted between our reads; back off
-        holder = self._parse(current[0])
+        holder = parse_json_object(current[0])
         if holder is not None and holder.get("done"):
             self._record_op("claim_conflict")
             return False  # the cell is finished and logged; never re-claim
@@ -166,7 +159,7 @@ class ObjectStoreBackend(GridBackend):
 
     def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
         current = self.store.get(self._lease_key(fingerprint))
-        return self._parse(current[0]) if current is not None else None
+        return parse_json_object(current[0]) if current is not None else None
 
     def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
         key = self._lease_key(fingerprint)
@@ -174,7 +167,7 @@ class ObjectStoreBackend(GridBackend):
         if current is None:
             self._record_op("renew_lost")
             return False
-        if not _renewable(self._parse(current[0]), worker_id):
+        if not _renewable(parse_json_object(current[0]), worker_id):
             self._record_op("renew_lost")
             return False
         # Guarded by the ETag: if a rival reclaimed us between the read and
@@ -202,7 +195,7 @@ class ObjectStoreBackend(GridBackend):
         current = self.store.get(key)
         if current is None:
             return
-        holder = self._parse(current[0])
+        holder = parse_json_object(current[0])
         if holder is None or holder.get("worker") != worker_id:
             return
         self.store.delete(key, if_match=current[1])
@@ -215,7 +208,7 @@ class ObjectStoreBackend(GridBackend):
             current = self.store.get(key)
             if current is None:
                 continue
-            document = self._parse(current[0])
+            document = parse_json_object(current[0])
             if document is None:
                 continue
             if float(document.get("deadline", 0)) >= now:
@@ -250,7 +243,7 @@ class ObjectStoreBackend(GridBackend):
             current = self.store.get(key)
             if current is None:
                 continue  # deleted mid-scan
-            record = self._parse(current[0])
+            record = parse_json_object(current[0])
             if record is not None:
                 yield record
 

@@ -26,7 +26,8 @@ misses through :func:`run_cells`, and stores each fresh result.
 :func:`run_campaign` collects the cells in memory; the grid
 (:mod:`repro.faas.grid`) runs the same driver and adds leases, record
 streams, and shards around it.  The cache entry layout is read and written
-only in this module.
+only in this module; the result inside an entry is column-encoded by
+:func:`~repro.faas.results.result_to_columns`.
 
 The :class:`CampaignResult` aggregator rolls the per-cell
 :class:`~repro.faas.experiment.ExperimentResult` objects into the comparison
@@ -54,16 +55,31 @@ from ..sim.platforms.spec import DEFAULT_ERA, PlatformSpec, available_eras, is_b
 from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
-from .results import DECODE_ERRORS, result_from_dict, result_to_dict
+from .results import (
+    DECODE_ERRORS, parse_json_object, result_from_columns, result_from_dict, result_to_columns,
+    result_to_dict,
+)
 from .workload import WorkloadSpec
 
-#: Bump when the cached document layout changes; stale entries are recomputed.
+#: The fingerprint salt: every cell fingerprint hashes ``v{CACHE_VERSION}:``
+#: plus the job, so a bump re-keys every cell.  Bump it when the fingerprinted
+#: surface changes (lint rule R002 and its manifest pin it); grid manifests
+#: record it too.  The layout of an entry file is versioned separately, by
+#: ``_ENTRY_LAYOUT``, so changing it moves no fingerprint.
 #: v2: jobs carry a full WorkloadSpec (the workloads sweep dimension) instead
 #: of the burst_size/mode pair, and the fingerprint covers it.
 #: v3: jobs identify the platform by a full PlatformSpec (base, era,
 #: overrides) instead of the (platform, era) string pair; fingerprints cover
 #: the spec, so every v2 cell document is invalidated and recomputed.
 CACHE_VERSION = 3
+
+#: Layout of a cell-cache entry file, stamped as its ``"version"``; only
+#: ``_read_cached`` and ``_store_cached`` know it.  An entry of any other
+#: layout is a miss and is rewritten when its cell is recomputed.
+#: 3: the ``result_to_dict`` row document (stamped with ``CACHE_VERSION``).
+#: 4: its ``result_to_columns`` encoding.  A reader that expects layout 3
+#: sees a layout-4 entry as a miss, never as an empty result.
+_ENTRY_LAYOUT = 4
 
 #: Sentinel distinguishing "use the spec's first memory config" from an
 #: explicit ``None`` (= the benchmark's own memory configuration).
@@ -797,35 +813,31 @@ def scan_cache_fingerprints(cache_dir: Optional[Union[str, Path]]) -> frozenset:
         return frozenset()
 
 
-def _read_cached(
-    cache_dir: Path, job: CampaignJob
-) -> Tuple[Optional[Dict[str, object]], Optional[ExperimentResult]]:
+def _read_cached(cache_dir: Path, job: CampaignJob) -> Optional[ExperimentResult]:
     try:
         # A missing file is a FileNotFoundError, so no separate stat.
-        entry = json.loads(_cache_path(cache_dir, job).read_text())
-    except (OSError, ValueError):
-        return None, None
-    if not isinstance(entry, dict) or entry.get("version") != CACHE_VERSION:
-        return None, None
-    document = entry.get("result")
-    if entry.get("fingerprint") != job.fingerprint() or not isinstance(document, dict):
-        return None, None
+        entry = parse_json_object(_cache_path(cache_dir, job).read_bytes())
+    except OSError:
+        return None
+    if (entry is None or entry.get("version") != _ENTRY_LAYOUT
+            or entry.get("fingerprint") != job.fingerprint()):
+        return None
     try:
-        return document, result_from_dict(document)
+        return result_from_columns(entry["result"])  # type: ignore[arg-type]
     except DECODE_ERRORS:
-        return None, None
+        return None
 
 
 def iter_cached_cells(
     cache_dir: Optional[Union[str, Path]], jobs: Iterable[CampaignJob]
-) -> Iterator[Tuple[CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult]]]:
-    """The cell cache's one reader: ``(job, document, result)`` per job.
+) -> Iterator[Tuple[CampaignJob, Optional[ExperimentResult]]]:
+    """The cell cache's one reader: ``(job, result)`` per job.
 
     One directory scan up front, then each entry is read and decoded only
     when its job is reached, so a consumer that acts per cell (progress,
     grid records) sees each cell right after its own load.  A missing,
     stale (other version or fingerprint) or undecodable entry is a miss,
-    yielded as ``(job, None, None)`` -- exactly the cells a run recomputes.
+    yielded as ``(job, None)`` -- exactly the cells a run recomputes.
     Cells over runtime-registered platforms always miss: the fingerprint
     covers the spec but not the factory behind it, and editing that factory
     must never serve stale numbers.
@@ -834,9 +846,9 @@ def iter_cached_cells(
     present = scan_cache_fingerprints(cache_path)
     for job in jobs:
         if job.fingerprint() in present and is_builtin_spec(job.platform):
-            yield (job, *_read_cached(cache_path, job))  # type: ignore[arg-type]
+            yield job, _read_cached(cache_path, job)  # type: ignore[arg-type]
         else:
-            yield job, None, None
+            yield job, None
 
 
 def load_cached_campaign(
@@ -850,15 +862,15 @@ def load_cached_campaign(
     """
     return CampaignResult(spec=spec, cells=[
         CampaignCell(job, result, from_cache=True)
-        for job, _, result in iter_cached_cells(cache_dir, spec.expand())
+        for job, result in iter_cached_cells(cache_dir, spec.expand())
         if result is not None
     ])
 
 
 def probe_cache(cache_dir: Optional[Union[str, Path]], job: CampaignJob) -> bool:
     """True when a run would serve this job from the cell cache."""
-    [(_, document, _)] = iter_cached_cells(cache_dir, [job])
-    return document is not None
+    [(_, result)] = iter_cached_cells(cache_dir, [job])
+    return result is not None
 
 
 def _store_cached(cache_dir: Optional[Path], job: CampaignJob, document: Dict[str, object]) -> None:
@@ -866,10 +878,10 @@ def _store_cached(cache_dir: Optional[Path], job: CampaignJob, document: Dict[st
         return  # see iter_cached_cells: runtime factories are not fingerprintable
     cache_dir.mkdir(parents=True, exist_ok=True)
     payload = {
-        "version": CACHE_VERSION,
+        "version": _ENTRY_LAYOUT,
         "fingerprint": job.fingerprint(),
         "job": job.to_dict(),
-        "result": document,
+        "result": result_to_columns(document),
     }
     path = _cache_path(cache_dir, job)
     # A private temp file per write: two writers of one cell (a duplicate
@@ -1167,7 +1179,8 @@ def drive_cells(
     workers: Optional[int],
     cache_dir: Optional[Union[str, Path]],
     deliver: Callable[
-        [CampaignJob, Dict[str, object], Optional[ExperimentResult], Optional[float]], None
+        [CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult], Optional[float]],
+        None,
     ],
     fail: Callable[[CellFailure], None],
     *,
@@ -1183,9 +1196,10 @@ def drive_cells(
     Probes the cell cache (:func:`iter_cached_cells`), executes the misses
     through :func:`run_cells`, and writes each fresh result back to the
     cache.  Every finished cell goes to ``deliver(job, document, result,
-    elapsed_s)``: a cache hit with its decoded ``result`` and no
-    ``elapsed_s``; a freshly executed cell with ``result=None`` (decoding is
-    the sink's business) and its observed wall cost.  ``progress(job,
+    elapsed_s)``: a cache hit as its decoded ``result`` alone (the cache
+    holds no result document; ``result_to_dict(result)`` rebuilds it); a
+    freshly executed cell as its ``document`` (decoding is the sink's
+    business) and its observed wall cost.  ``progress(job,
     from_cache)`` fires right after each delivery; permanently failed cells
     go to ``fail``.  ``admit``/``skip``/``tick`` are :func:`run_cells`' grid
     hooks.  Each served cell counts one cache hit and each admitted cell one
@@ -1202,12 +1216,12 @@ def drive_cells(
     )
     cache_path = Path(cache_dir) if cache_dir is not None else None
     pending: List[CampaignJob] = []
-    for job, document, result in iter_cached_cells(cache_path, jobs):
-        if document is None:
+    for job, result in iter_cached_cells(cache_path, jobs):
+        if result is None:
             pending.append(job)
             continue
         cache_hits.inc()
-        deliver(job, document, result, None)
+        deliver(job, None, result, None)
         if progress is not None:
             progress(job, True)
 
@@ -1261,12 +1275,13 @@ def run_campaign(
     found: Dict[str, Tuple[ExperimentResult, bool]] = {}
     failures: List[CellFailure] = []
 
-    def deliver(job: CampaignJob, document: Dict[str, object],
+    def deliver(job: CampaignJob, document: Optional[Dict[str, object]],
                 result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
         # The observed cost is a grid-log concern; the in-process result
         # ignores it.
         found[job.fingerprint()] = (
-            (result, True) if result is not None else (result_from_dict(document), False)
+            (result, True) if result is not None
+            else (result_from_dict(document), False)  # type: ignore[arg-type]
         )
 
     drive_cells(jobs, workers, cache_dir, deliver, failures.append,

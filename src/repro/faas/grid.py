@@ -67,7 +67,9 @@ from .campaign import (
     iter_cached_cells,
 )
 from .experiment import ExperimentResult
-from .results import DECODE_ERRORS, ResultLog, result_from_dict  # noqa: F401  (ResultLog re-exported)
+from .results import (  # noqa: F401  (ResultLog re-exported)
+    DECODE_ERRORS, ResultLog, result_from_dict, result_to_dict,
+)
 
 #: Bump when the run-directory layout changes incompatibly.
 GRID_VERSION = 1
@@ -501,11 +503,13 @@ def run_grid_worker(
         lease_depth.set(len(held))
         return fingerprint
 
-    def deliver(job: CampaignJob, document: Dict[str, object],
+    def deliver(job: CampaignJob, document: Optional[Dict[str, object]],
                 result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
-        # Cache-served cells are logged too, so a merge needs only the logs.
+        # Cache-served cells are logged too, so a merge needs only the logs;
+        # their row document is rebuilt from the decoded result.
         fields: Dict[str, object] = {
-            "from_cache": result is not None, "job": job.to_dict(), "result": document,
+            "from_cache": result is not None, "job": job.to_dict(),
+            "result": document if result is None else result_to_dict(result),
         }
         if elapsed_s is not None:
             # Observed wall cost of this cell; autoscale_hint() medians these
@@ -575,7 +579,7 @@ def merge_run(
                 continue  # corrupt record; a duplicate or the cache may supply it
             merged[fingerprint] = (result, bool(record.get("from_cache", False)))
     unmerged = [job for job in jobs if job.fingerprint() not in merged]
-    for job, _, result in iter_cached_cells(cache_dir, unmerged):
+    for job, result in iter_cached_cells(cache_dir, unmerged):
         if result is not None:
             merged[job.fingerprint()] = (result, True)
     missing = [job for job in unmerged if job.fingerprint() not in merged]

@@ -12,7 +12,8 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterator, List, Tuple, Union
+from itertools import accumulate
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.critical_path import FunctionMeasurement, WorkflowMeasurement
 from ..sim.billing import CostBreakdown
@@ -171,8 +172,114 @@ def result_from_dict(document: Dict[str, object]) -> ExperimentResult:
     A malformed document raises one of :data:`DECODE_ERRORS`, never anything
     else, so every reader can treat it as a miss.
     """
+    return _decode(document, _row_lists)
+
+
+def result_from_columns(document: Dict[str, object]) -> ExperimentResult:
+    """Rebuild an :class:`ExperimentResult` from :func:`result_to_columns` output.
+
+    Same coercions, same derived data and the same error contract as
+    :func:`result_from_dict`: only the lists are read from column tables.
+    """
+    return _decode(document, _column_lists)
+
+
+#: Per-function record fields, in :class:`FunctionMeasurement` field order.
+_FUNCTION_FIELDS = (
+    "function", "phase", "start", "end", "request_id", "container_id", "cold_start",
+)
+#: Per-measurement head fields; ``records`` counts the measurement's rows
+#: of the function table.
+_HEAD_FIELDS = ("workflow", "platform", "invocation_id", "memory_mb", "metadata", "records")
+#: :class:`OrchestrationStats` fields, in constructor order.
+_ORCHESTRATION_FIELDS = (
+    "platform", "workflow", "invocation_id", "state_transitions",
+    "orchestrator_time_s", "activity_count", "started_at", "finished_at",
+)
+#: Scaling-profile sample fields, as ``critical_path.scaling_profile`` writes them.
+_PROFILE_FIELDS = ("time", "containers")
+#: Result-document entries the column layout leaves out: the lists it
+#: re-encodes, and the summaries the decoder recomputes anyway.
+_NOT_IN_HEAD = frozenset((
+    "measurements", "orchestration", "scaling_profile",
+    "summary", "open_loop", "cost_per_1000",
+))
+
+
+def result_to_columns(document: Dict[str, object]) -> Dict[str, object]:
+    """Column-encode a :func:`result_to_dict` document (the cell-cache layout).
+
+    The row-heavy lists become column tables: one ``functions`` table for
+    every per-function record of every measurement, with function, phase,
+    workflow and platform names stored as indices into one interned
+    ``names`` table; a ``measurements`` table of per-measurement heads, each
+    counting its rows of ``functions``; and ``orchestration`` and
+    ``scaling_profile`` tables.  Floats stay JSON numbers, so the round trip
+    is bit-exact: ``result_to_dict(result_from_columns(result_to_columns(d)))
+    == d``.
+    """
+    names: Dict[str, int] = {}
+
+    def interned(values: List[Any]) -> List[int]:
+        return [names.setdefault(value, len(names)) for value in values]
+
+    measurements: List[Dict[str, Any]] = document["measurements"]  # type: ignore[assignment]
+    heads = _columns(measurements, ("workflow", "platform", "invocation_id", "memory_mb"))
+    heads.update(
+        metadata=[m.get("metadata", {}) for m in measurements],
+        records=[len(m["functions"]) for m in measurements],
+    )
+    functions = _columns(
+        [row for m in measurements for row in m["functions"]], _FUNCTION_FIELDS
+    )
+    orchestration = _columns(document["orchestration"], _ORCHESTRATION_FIELDS)  # type: ignore[arg-type]
+    for table, keys in ((heads, ("workflow", "platform")),
+                        (functions, ("function", "phase")),
+                        (orchestration, ("platform", "workflow"))):
+        for key in keys:
+            table[key] = interned(table[key])
+    encoded = {key: value for key, value in document.items() if key not in _NOT_IN_HEAD}
+    encoded.update(
+        names=list(names),
+        measurements=heads,
+        functions=functions,
+        orchestration=orchestration,
+        scaling_profile=_columns(document["scaling_profile"], _PROFILE_FIELDS),  # type: ignore[arg-type]
+    )
+    return encoded
+
+
+def _columns(rows: Sequence[Dict[str, Any]], fields: Sequence[str]) -> Dict[str, list]:
+    return {key: [row[key] for row in rows] for key in fields}
+
+
+def _table(node: object, fields: Sequence[str], what: str) -> List[list]:
+    """The ``fields`` columns of a column table, all lists of one length.
+
+    ``zip`` would silently truncate columns of unequal length, so a table
+    whose columns disagree is rejected here.
+    """
+    table = _object(node, what)
+    columns = [table[key] for key in fields]
+    for column in columns:
+        if not isinstance(column, list):
+            raise TypeError(f"{what} columns must be JSON arrays")
+    if len({len(column) for column in columns}) > 1:
+        raise ValueError(f"{what} columns differ in length")
+    return columns
+
+
+#: What each layout's list reader hands the shared decode tail: the
+#: measurements, the orchestration stats and the scaling profile.
+_Lists = Tuple[List[WorkflowMeasurement], List[OrchestrationStats], list]
+
+
+def _decode(
+    document: Dict[str, object],
+    lists: Callable[[Dict[str, object]], _Lists],
+) -> ExperimentResult:
     try:
-        return _decode_result(document)
+        return _assemble(document, *lists(document))
     except OverflowError as error:
         # A JSON integer too large for a float is an out-of-range value.
         raise ValueError(f"result document holds an out-of-range number: {error}") from error
@@ -185,7 +292,76 @@ def _object(node: object, what: str) -> Dict[str, object]:
     return node
 
 
-def _decode_result(document: Dict[str, object]) -> ExperimentResult:
+def _row_lists(document: Dict[str, object]) -> _Lists:
+    """Measurements, orchestration stats and scaling profile of a row document."""
+    platform, benchmark = document["platform"], document["benchmark"]
+    orchestration = []
+    for entry in document.get("orchestration", []):  # type: ignore[union-attr]
+        entry = _object(entry, "an orchestration entry")
+        orchestration.append(
+            OrchestrationStats(
+                platform=str(entry.get("platform", platform)),
+                workflow=str(entry.get("workflow", benchmark)),
+                invocation_id=str(entry["invocation_id"]),
+                state_transitions=int(entry["state_transitions"]),
+                orchestrator_time_s=float(entry["orchestrator_time_s"]),
+                activity_count=int(entry["activity_count"]),
+                started_at=float(entry.get("started_at", 0.0)),
+                finished_at=float(entry.get("finished_at", 0.0)),
+            )
+        )
+    return (
+        [measurement_from_dict(m) for m in document.get("measurements", [])],  # type: ignore[union-attr]
+        orchestration,
+        list(document.get("scaling_profile", [])),  # type: ignore[call-overload]
+    )
+
+
+def _column_lists(document: Dict[str, object]) -> _Lists:
+    """The same three lists, read from the column tables of :func:`result_to_columns`."""
+    names = document["names"]
+    if not isinstance(names, list):
+        raise TypeError("the name table must be a JSON array")
+    # A dict, not the list: an out-of-range or negative index is a KeyError
+    # instead of an IndexError or a silent wrap-around.
+    name = dict(enumerate(map(str, names))).__getitem__
+    # Every column goes through the row decoder's coercion of its field.
+    records = list(map(FunctionMeasurement, *map(
+        map, (name, name, float, float, str, str, bool),
+        _table(document["functions"], _FUNCTION_FIELDS, "the function table"),
+    )))
+    workflow, platform, invocation_id, memory_mb, metadata, counts = _table(
+        document["measurements"], _HEAD_FIELDS, "the measurement table"
+    )
+    # Each head owns the next ``records`` rows of the function table; the
+    # counts must be non-negative and cover the table exactly.
+    ends = list(accumulate(counts))
+    if (ends[-1] if ends else 0) != len(records) or min(counts, default=0) < 0:
+        raise ValueError("measurement record counts disagree with the function table")
+    measurements = [
+        WorkflowMeasurement(name(w), name(p), str(i), records[a:b], int(mb), dict(meta))
+        for w, p, i, mb, meta, a, b in zip(
+            workflow, platform, invocation_id, memory_mb, metadata, [0, *ends], ends
+        )
+    ]
+    orchestration = list(map(OrchestrationStats, *map(
+        map, (name, name, str, int, float, int, float, float),
+        _table(document["orchestration"], _ORCHESTRATION_FIELDS, "the orchestration table"),
+    )))
+    times, containers = _table(
+        document["scaling_profile"], _PROFILE_FIELDS, "the scaling-profile table"
+    )
+    profile = [{"time": t, "containers": c} for t, c in zip(times, containers)]
+    return measurements, orchestration, profile
+
+
+def _assemble(
+    document: Dict[str, object],
+    measurements: List[WorkflowMeasurement],
+    orchestration: List[OrchestrationStats],
+    scaling_profile: list,
+) -> ExperimentResult:
+    """The one decode tail both layouts share: config, derived data, cost."""
     config_doc = dict(document["config"])  # type: ignore[arg-type]
     memory_mb = config_doc.get("memory_mb")
     # Documents predating the workload and platform-spec fields raise a
@@ -203,24 +379,11 @@ def _decode_result(document: Dict[str, object]) -> ExperimentResult:
         benchmark=str(document["benchmark"]),
         platform=str(document["platform"]),
         config=config,
-        measurements=[measurement_from_dict(m) for m in document.get("measurements", [])],
+        measurements=measurements,
+        orchestration_stats=orchestration,
         containers_created=int(document.get("containers_created", 0)),
-        scaling_profile=list(document.get("scaling_profile", [])),
+        scaling_profile=scaling_profile,
     )
-    for entry in document.get("orchestration", []):
-        entry = _object(entry, "an orchestration entry")
-        result.orchestration_stats.append(
-            OrchestrationStats(
-                platform=str(entry.get("platform", result.platform)),
-                workflow=str(entry.get("workflow", result.benchmark)),
-                invocation_id=str(entry["invocation_id"]),
-                state_transitions=int(entry["state_transitions"]),
-                orchestrator_time_s=float(entry["orchestrator_time_s"]),
-                activity_count=int(entry["activity_count"]),
-                started_at=float(entry.get("started_at", 0.0)),
-                finished_at=float(entry.get("finished_at", 0.0)),
-            )
-        )
     result.summary = summarize(result.benchmark, result.platform, result.measurements)
     if config.workload_spec.is_open_loop:
         # Recover the per-repetition grouping from the invocation-id
@@ -240,6 +403,21 @@ def _decode_result(document: Dict[str, object]) -> ExperimentResult:
     if "cost" in document:
         result.cost = _cost_from_dict(dict(document["cost"]))  # type: ignore[arg-type]
     return result
+
+
+def parse_json_object(raw: Union[str, bytes]) -> Optional[Dict[str, object]]:
+    """``raw`` parsed, when it holds one JSON object; otherwise ``None``.
+
+    The one parser for stored records and cache entries, which may be torn
+    or corrupt: invalid JSON or UTF-8 (a ``ValueError``) and nesting deeper
+    than the parser's recursion limit (a ``RecursionError``) both read as
+    nothing.
+    """
+    try:
+        document = json.loads(raw)
+    except (ValueError, RecursionError):
+        return None
+    return document if isinstance(document, dict) else None
 
 
 class ResultLog:
@@ -312,13 +490,8 @@ class ResultLog:
     def _parse_lines(lines: List[bytes]) -> Iterator[Dict[str, object]]:
         for raw in lines:
             line = raw.strip()
-            if not line:
-                continue
-            try:
-                document = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                continue
-            if isinstance(document, dict):
+            document = parse_json_object(line) if line else None
+            if document is not None:
                 yield document
 
     def __len__(self) -> int:

@@ -20,6 +20,7 @@ from repro.faas import (
     run_campaign,
 )
 from repro.benchmarks import get_benchmark
+from repro.faas.results import result_from_columns
 from repro.sim import PlatformSpec, load_scenarios
 
 
@@ -57,11 +58,18 @@ def _short_chunk(payloads):
     return []
 
 
-#: Result documents broken in ways the decoder once let escape as an
-#: AttributeError instead of a decode error (a string where an object belongs).
+#: Cache-entry results broken in ways a decoder could let escape as an
+#: error other than a decode error (a string where an object belongs, an
+#: index past a table), or silently misread.
 MALFORMED_RESULTS = {
     "platform_spec": lambda document: document["config"].update(platform_spec="aws"),
     "orchestration": lambda document: document.update(orchestration=["x"]),
+    # Column-layout entries: a name index past the name table, and a column
+    # one row short of its table (zip would silently drop the last row).
+    "name_index": lambda document: document["functions"]["phase"].__setitem__(
+        0, len(document["names"])
+    ),
+    "ragged_column": lambda document: document["functions"]["end"].pop(),
 }
 
 
@@ -232,7 +240,7 @@ class TestCampaignCache:
         # ... and the recomputed cell was written back.
         assert job.fingerprint() in real_scan(tmp_path)
         assert list(campaign_module.iter_cached_cells(tmp_path / "gone", [job])) == \
-            [(job, None, None)]
+            [(job, None)]
 
     def test_store_leaves_a_rival_writers_temp_file_alone(self, tmp_path):
         """Two writers of one cell (a duplicate after a lease reclaim, two
@@ -251,8 +259,7 @@ class TestCampaignCache:
         assert rival.read_text() == "half-written by a rival"
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             sorted([rival.name, f"{job.fingerprint()}.json"])
-        [(_, stored, result)] = iter_cached_cells(tmp_path, [job])
-        assert stored == document
+        [(_, result)] = iter_cached_cells(tmp_path, [job])
         assert result_to_dict(result) == document
 
     def test_undecodable_entry_probes_as_a_miss(self, tmp_path):
@@ -630,8 +637,8 @@ class TestPlatformSpecSweep:
         )
 
     def test_v2_cache_documents_are_invalidated(self, tmp_path):
-        """A cache entry stamped with the previous CACHE_VERSION is ignored."""
-        from repro.faas.campaign import CACHE_VERSION, _cache_path
+        """A cache entry stamped with an earlier version is ignored."""
+        from repro.faas.campaign import _ENTRY_LAYOUT, CACHE_VERSION, _cache_path
 
         spec = small_spec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,))
         job = spec.expand()[0]
@@ -639,7 +646,8 @@ class TestPlatformSpecSweep:
         assert first.cache_hits == 0
         path = _cache_path(tmp_path, job)
         document = json.loads(path.read_text())
-        assert document["version"] == CACHE_VERSION == 3
+        assert CACHE_VERSION == 3
+        assert document["version"] == _ENTRY_LAYOUT == 4
         document["version"] = 2
         path.write_text(json.dumps(document))
         rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)
@@ -664,7 +672,8 @@ class TestPlatformSpecSweep:
         assert rerun.cache_hits == 0
         # The recomputed cell rewrote the entry with a fresh run's document.
         assert path.read_text() == fresh_entry
-        assert result_to_dict(rerun.cells[0].result) == json.loads(fresh_entry)["result"]
+        assert result_to_dict(rerun.cells[0].result) == \
+            result_to_dict(result_from_columns(json.loads(fresh_entry)["result"]))
 
     def test_earlier_job_documents_are_rejected(self):
         """v1 job documents (mode/burst_size, bare platform) and v2 ones (a

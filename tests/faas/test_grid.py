@@ -25,7 +25,7 @@ from repro.faas import (
     shard_of,
 )
 from repro.faas import campaign, grid
-from repro.faas.results import result_from_dict
+from repro.faas.results import result_from_columns, result_from_dict
 from repro.observability import MetricsRegistry, use_registry
 
 
@@ -338,6 +338,17 @@ class TestResultLog:
     def test_missing_file_iterates_empty(self, tmp_path):
         assert list(ResultLog(tmp_path / "nope.jsonl")) == []
 
+    def test_deeply_nested_line_is_skipped(self, tmp_path):
+        """A line nested past the JSON parser's recursion limit is corrupt
+        like any other: skipped, not a RecursionError for the merge."""
+        path = tmp_path / "log.jsonl"
+        log = ResultLog(path)
+        log.append({"fingerprint": "a"})
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("[" * 100_000 + "\n")
+        log.append({"fingerprint": "b"})
+        assert [record["fingerprint"] for record in log] == ["a", "b"]
+
 
 class TestGridRun:
     def test_create_open_round_trip(self, tmp_path):
@@ -488,6 +499,32 @@ class TestGridExecution:
         assert [cell["result"] for cell in merged.to_dict(include_results=True)["cells"]] == \
             [cell["result"] for cell in clean.to_dict(include_results=True)["cells"]]
 
+    def test_cache_served_records_log_the_executed_result_documents(self, tmp_path):
+        """The cache stores columns, but a cache-served record still logs the
+        row result document, byte for byte the one an executing worker
+        logged."""
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+
+        def logged(run):
+            return {
+                record["fingerprint"]: (
+                    record["from_cache"], json.dumps(record["result"], sort_keys=True)
+                )
+                for shard in range(run.shard_count)
+                for record in run.iter_shard_records(shard)
+            }
+
+        executed = GridRun.create(spec, tmp_path / "executed", shard_count=2)
+        assert run_grid_worker(executed, workers=1, cache_dir=cache).executed == 4
+        served = GridRun.create(spec, tmp_path / "served", shard_count=2)
+        assert run_grid_worker(served, workers=1, cache_dir=cache).cache_hits == 4
+        executed_records, served_records = logged(executed), logged(served)
+        assert sorted(executed_records) == sorted(served_records)
+        for fingerprint, (from_cache, result) in served_records.items():
+            assert from_cache and not executed_records[fingerprint][0]
+            assert result == executed_records[fingerprint][1]
+
     def test_warm_cells_decode_once_per_reader(self, tmp_path, monkeypatch):
         """On a warm cache ``run_campaign`` decodes each cell exactly once;
         a grid worker plus ``merge_run`` decodes it exactly twice (once to
@@ -497,12 +534,15 @@ class TestGridExecution:
         run_campaign(spec, workers=1, cache_dir=cache)
         decoded = []
 
-        def spy(document):
-            decoded.append(document)
-            return result_from_dict(document)
+        def spy(decode):
+            def spied(document):
+                decoded.append(document)
+                return decode(document)
+            return spied
 
-        monkeypatch.setattr(campaign, "result_from_dict", spy)
-        monkeypatch.setattr(grid, "result_from_dict", spy)
+        monkeypatch.setattr(campaign, "result_from_columns", spy(result_from_columns))
+        monkeypatch.setattr(campaign, "result_from_dict", spy(result_from_dict))
+        monkeypatch.setattr(grid, "result_from_dict", spy(result_from_dict))
         assert run_campaign(spec, workers=1, cache_dir=cache).cache_hits == 4
         assert len(decoded) == 4
         decoded.clear()
