@@ -9,6 +9,7 @@ plotting scripts.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -385,6 +386,13 @@ def _assemble(
         scaling_profile=scaling_profile,
     )
     result.summary = summarize(result.benchmark, result.platform, result.measurements)
+    # A document whose runtimes have no finite summary row is malformed.
+    # Runtimes are never negative (no record ends before it starts), so a
+    # finite sum bounds their mean and their spread; a non-finite runtime
+    # makes the sum non-finite, and runtimes near the float maximum
+    # overflow it (an OverflowError, which _decode turns into a ValueError).
+    if not math.isfinite(math.fsum(result.summary.runtimes)):
+        raise ValueError("result document holds runtimes with no finite summary")
     if config.workload_spec.is_open_loop:
         # Recover the per-repetition grouping from the invocation-id
         # namespaces; replicate runs must not be swept as overlapping traffic.

@@ -90,7 +90,8 @@ _floats = st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]) | st.floats()
 def _float_sites(document):
     """Every float a decoder reads back from a row document, as (node, key)."""
     for measurement in document["measurements"]:
-        yield measurement["metadata"], "arrival_s"
+        if "metadata" in measurement:  # open-loop cells only
+            yield measurement["metadata"], "arrival_s"
         for record in measurement["functions"]:
             yield record, "start"
             yield record, "end"
@@ -126,6 +127,53 @@ def test_arbitrary_floats_decode_exactly_as_the_row_document(poisson_document, d
         node[key] = data.draw(_floats)
     entry = json.loads(json.dumps(result_to_columns(document)))
     assert _outcome(result_from_columns, entry) == _outcome(result_from_dict, document)
+
+
+_extreme_floats = st.sampled_from([
+    float("inf"), float("-inf"), float("nan"), 1.7e308, -1.7e308, 1e308,
+]) | _floats
+
+
+@pytest.fixture(scope="module")
+def chain_document():
+    [document] = _documents(_spec()).values()
+    return document
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), open_loop=st.booleans())
+def test_a_decoded_document_always_re_encodes(chain_document, poisson_document,
+                                              data, open_loop):
+    """Whatever floats a document holds, ``result_to_dict`` of its decoded
+    result succeeds, or the decode itself raised one of DECODE_ERRORS.  A
+    non-finite runtime, or runtimes whose mean or spread overflows a float,
+    is a malformed document -- a cache miss -- never a crash in the
+    summary row."""
+    document = json.loads(json.dumps(poisson_document if open_loop else chain_document))
+    sites = list(_float_sites(document))
+    for node, key in data.draw(st.lists(st.sampled_from(sites), min_size=1, max_size=4)):
+        node[key] = data.draw(_extreme_floats)
+    for decode, encoded in ((result_from_dict, document),
+                            (result_from_columns, result_to_columns(document))):
+        try:
+            result = decode(json.loads(json.dumps(encoded)))
+        except DECODE_ERRORS:
+            continue
+        result_to_dict(result)
+
+
+def test_a_non_finite_runtime_is_a_decode_error(poisson_document):
+    for key, value in (("end", float("inf")), ("start", float("-inf"))):
+        document = json.loads(json.dumps(poisson_document))
+        document["measurements"][0]["functions"][0][key] = value
+        with pytest.raises(ValueError, match="no finite summary"):
+            result_from_dict(document)
+    # Finite runtimes near the float maximum overflow the mean.
+    document = json.loads(json.dumps(poisson_document))
+    for measurement in document["measurements"]:
+        measurement["functions"][-1]["end"] = 1.7e308
+    with pytest.raises(ValueError, match="out-of-range"):
+        result_from_dict(document)
 
 
 # ------------------------------------------------------------- entry layout

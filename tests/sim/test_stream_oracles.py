@@ -1,17 +1,22 @@
-"""The memoized stream seeding and vectorized detour sampling against the
-code they replaced.
+"""The stream seeding and vectorized detour sampling against the code they
+replaced.
 
-``named_stream`` skips ``SeedSequence`` hashing for a recurring derived seed,
-``sample_detour_trace`` draws a whole trace in one broadcast call, and
-``suspension_curve`` reduces the draw arrays without building events.  The
-oracles below are the previous implementations, kept verbatim: any drift in
-a draw, an event or a float bit fails here.
+``named_stream`` seeds PCG64 from a straight-line port of numpy's
+``SeedSequence`` hashing, memoized per derived seed; ``lognormal_around``
+scales a standard normal draw; ``sample_detour_trace`` draws a whole trace
+in one broadcast call, and ``suspension_curve`` reduces the draw arrays
+without building events.  The oracles below are numpy's ``SeedSequence``
+and the previous implementations, kept verbatim: any drift in a draw, an
+event or a float bit fails here.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import MEMORY_CONFIGURATIONS_MB, NoiseModel, RandomStreams
 from repro.sim import rng
@@ -69,7 +74,11 @@ def test_scalar_draws_and_random_streams_agree():
         ]
 
 
-@pytest.mark.parametrize("derived", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+#: Entropy of one word, of two words, and the edges between them.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@pytest.mark.parametrize("derived", EDGE_SEEDS)
 def test_memoized_state_equals_seed_sequence(derived):
     expected = np.random.SeedSequence(derived).generate_state(4, np.uint64)
     assert rng._pcg64_seed_state(derived) == expected.tobytes()
@@ -93,6 +102,93 @@ def test_memo_is_bounded_and_holds_bytes():
     assert isinstance(rng._pcg64_seed_state(derive_stream_seed(0, "x")), bytes)
     # Evicted seeds are re-derived to the same draws.
     assert named_stream(0, "fill").random() == oracle_named_stream(0, "fill").random()
+
+
+def seed_sequence_state(derived: int) -> np.ndarray:
+    return np.random.SeedSequence(derived).generate_state(4, np.uint64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(derived=st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS))
+def test_ported_state_equals_seed_sequence(derived):
+    ported = np.frombuffer(rng._pcg64_seed_state.__wrapped__(derived), np.uint64)
+    assert np.array_equal(ported, seed_sequence_state(derived))
+
+
+@pytest.fixture
+def seed_sequence_calls(monkeypatch):
+    """The seeds ``np.random.SeedSequence`` is built for while the test runs."""
+    calls = []
+    real = np.random.SeedSequence
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    return calls
+
+
+@pytest.mark.parametrize("derived", [2**64, 2**64 + 1, 2**100, 3**90])
+def test_out_of_range_seeds_take_the_numpy_fallback(derived, seed_sequence_calls):
+    expected = seed_sequence_state(derived)
+    seed_sequence_calls.clear()
+    assert np.array_equal(np.frombuffer(rng._pcg64_seed_state(derived), np.uint64), expected)
+    assert seed_sequence_calls == [(derived,)]
+
+
+def test_a_negative_seed_is_rejected_as_numpy_rejects_it():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence(-1)
+    with pytest.raises(ValueError):
+        rng._pcg64_seed_state(-1)
+
+
+@pytest.mark.parametrize("seed,name", STREAMS)
+def test_an_in_range_named_stream_builds_no_seed_sequence(seed, name, seed_sequence_calls):
+    generator = named_stream(seed, name)
+    assert seed_sequence_calls == []
+    assert rng._pcg64_seed_state.cache_info().misses == 1
+    reference = oracle_named_stream(seed, name)
+    assert generator.bit_generator.state == reference.bit_generator.state
+
+
+def oracle_lognormal_around(g: np.random.Generator, median: float, sigma: float) -> float:
+    return float(median * np.exp(g.normal(0.0, sigma)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**63),
+    median=st.floats(1e-9, 1e6),
+    sigma=st.sampled_from([0.0, 0.03, 0.25]) | st.floats(0.0, 8.0),
+)
+def test_lognormal_around_equals_the_normal_draw(seed, median, sigma):
+    streams = RandomStreams(seed)
+    reference = oracle_named_stream(seed, "lat")
+    for _ in range(16):
+        drawn = streams.lognormal_around("lat", median, sigma)
+        assert bits(drawn) == bits(oracle_lognormal_around(reference, median, sigma))
+
+
+def test_lognormal_around_rejects_a_negative_sigma_as_numpy_did():
+    with pytest.raises(ValueError):
+        oracle_lognormal_around(np.random.default_rng(0), 1.0, -0.1)
+    with pytest.raises(ValueError):
+        RandomStreams(0).lognormal_around("lat", 1.0, -0.1)
+
+
+def test_rng_memory_stays_bounded():
+    """Fresh streams leave at most the bounded seed-state memo behind."""
+    tracemalloc.start()
+    try:
+        for index in range(20_000):
+            named_stream(index, "fresh")
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces([tracemalloc.Filter(True, rng.__file__)])
+    assert sum(stat.size for stat in held.statistics("filename")) <= 1 << 20
 
 
 # ------------------------------------------------------------------ detours
