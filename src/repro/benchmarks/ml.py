@@ -103,11 +103,21 @@ def _train_forest(
     return forest
 
 
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a NaN-free vector, bit for bit, minus its ``numpy.ma`` import."""
+    ordered = np.sort(values)
+    half = len(ordered) // 2
+    if len(ordered) % 2:
+        return float(ordered[half])
+    return float((ordered[half - 1] + ordered[half]) / 2)
+
+
 def _grow_tree(x: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> Dict[str, object]:
-    if depth == 0 or len(np.unique(y)) == 1 or len(y) < 4:
+    # An all-equal test: ``np.unique`` would sort every node and import ``numpy.ma``.
+    if depth == 0 or len(y) < 4 or (y == y[0]).all():
         return {"leaf": float(np.sign(y.sum()) or 1.0)}
     feature = int(rng.integers(0, x.shape[1]))
-    threshold = float(np.median(x[:, feature]))
+    threshold = _median(x[:, feature])
     left = x[:, feature] <= threshold
     if left.all() or (~left).all():
         return {"leaf": float(np.sign(y.sum()) or 1.0)}

@@ -345,8 +345,8 @@ def _measure_chunked_dispatch(profile: BenchProfile,
     finished = [0]
     failures: List[object] = []
 
-    def finish(job: object, document: object, elapsed_s: float) -> None:
-        finished[0] += 1
+    def finish(settled: List[object]) -> None:
+        finished[0] += len(settled)
 
     start = perf_counter()
     run_cells(jobs, profile.dispatch_workers, finish, failures.append)
@@ -432,14 +432,14 @@ def _setup_merge(profile: BenchProfile) -> object:
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-merge-")
     run = GridRun.create(spec, tmp.name, shard_count=1)
     for job in jobs:
-        run.backend.append_record(0, "bench", {
+        run.backend.append_records(0, "bench", [{
             "fingerprint": job.fingerprint(),
             "shard": 0,
             "worker": "bench",
             "from_cache": False,
             "job": job.to_dict(),
             "result": document,
-        })
+        }])
     return (tmp, run, len(jobs))
 
 
@@ -479,10 +479,10 @@ def _drive_backend(backend: object, ops: int) -> BenchSample:
             raise RuntimeError(f"backend refused fresh claim {index}")
         if not backend.renew(fingerprint, "bench", 300.0):
             raise RuntimeError(f"backend refused renew {index}")
-        backend.append_record(0, "bench", {
+        backend.append_records(0, "bench", [{
             "fingerprint": fingerprint, "shard": 0, "worker": "bench",
             "from_cache": False, "result": {"index": index},
-        })
+        }])
         backend.mark_done(fingerprint, "bench")
     elapsed = perf_counter() - start
     return BenchSample(units=ops, seconds=elapsed)

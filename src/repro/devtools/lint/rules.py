@@ -762,7 +762,7 @@ class BackendProtocolRule(Rule):
     name = "backend-protocol"
     description = (
         "GridBackend implementations define the full claim/renew/mark_done/"
-        "release/active/append_record/iter_records/read_manifest/"
+        "release/active/append_records/iter_records/read_manifest/"
         "write_manifest protocol with matching signatures; filesystem access "
         "stays inside FileBackend"
     )
@@ -774,7 +774,7 @@ class BackendProtocolRule(Rule):
         "mark_done": ("self", "fingerprint", "worker_id"),
         "release": ("self", "fingerprint", "worker_id"),
         "active": ("self",),
-        "append_record": ("self", "shard", "worker_id", "document"),
+        "append_records": ("self", "shard", "worker_id", "documents"),
         "iter_records": ("self", "shard"),
         "read_manifest": ("self",),
         "write_manifest": ("self", "manifest"),

@@ -19,9 +19,11 @@ pioneered, because the worker/merge logic above is written against them:
    of several racing reclaimers wins.
 3. **Done permanence** -- after :meth:`GridBackend.mark_done`, no claim on
    that fingerprint ever succeeds again.
-4. **Append durability and tolerance** -- :meth:`GridBackend.append_record`
-   never overwrites; :meth:`GridBackend.iter_records` yields every readable
-   record and silently skips torn or corrupt ones (the merge deduplicates).
+4. **Append durability and tolerance** -- :meth:`GridBackend.append_records`
+   never overwrites and returns only once the whole batch is durable, so a
+   caller may publish what the batch records (done markers) right after it;
+   :meth:`GridBackend.iter_records` yields every readable record and
+   silently skips torn or corrupt ones (the merge deduplicates).
 5. **Manifest exclusivity** -- :meth:`GridBackend.write_manifest` installs
    the manifest only if none exists; losers of an initialisation race must
    re-read and validate instead of clobbering.
@@ -36,7 +38,7 @@ from __future__ import annotations
 import re
 import time
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from ...observability import current_registry
 
@@ -110,14 +112,14 @@ class GridBackend(ABC):
                 "Lease-protocol operations by backend kind and outcome.",
             ).inc(backend=self.kind, op=op)
 
-    def _record_append(self) -> None:
-        """Count one result record durably appended through this backend."""
+    def _record_append(self, count: int = 1) -> None:
+        """Count ``count`` result records durably appended through this backend."""
         registry = current_registry()
         if registry.enabled:
             registry.counter(
                 "repro_grid_records_total",
                 "Result records appended by backend kind.",
-            ).inc(backend=self.kind)
+            ).inc(count, backend=self.kind)
 
     # -- leases --------------------------------------------------------------
     @abstractmethod
@@ -150,10 +152,15 @@ class GridBackend(ABC):
 
     # -- result records ------------------------------------------------------
     @abstractmethod
-    def append_record(
-        self, shard: int, worker_id: str, document: Dict[str, object]
+    def append_records(
+        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
     ) -> None:
-        """Durably append one result record to a shard's stream."""
+        """Durably append a batch of result records to a shard's stream.
+
+        One call is one commit: a grid worker hands over a whole settled
+        chunk at once, so a file log pays one ``fsync`` per chunk, not one
+        per cell.
+        """
 
     @abstractmethod
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:

@@ -25,9 +25,9 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Sequence, Union
 
-from ..results import ResultLog
+from ..results import ResultLog, write_in_directory
 from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
 
 #: The run manifest's file name under the backend root.
@@ -65,7 +65,8 @@ class FileBackend(GridBackend):
 
     Construction never touches the disk -- opening a missing run must fail
     cleanly and a dry run must not create directories -- so directories are
-    made lazily on the write paths.
+    made lazily: a write that finds its directory missing creates it and
+    retries once, so a deleted ``leases/`` or ``results/`` heals.
     """
 
     kind = "file"
@@ -87,15 +88,20 @@ class FileBackend(GridBackend):
     def _lease_path(self, fingerprint: str) -> Path:
         return self.leases_dir / f"{fingerprint}.lease"
 
-    def _write_claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> Path:
-        self.leases_dir.mkdir(parents=True, exist_ok=True)
+    def _write_temp(self, fingerprint: str, worker_id: str,
+                    document: Dict[str, object]) -> Path:
+        """A private temp lease file holding ``document``, ready to link."""
         temp = self.leases_dir / f".{fingerprint}.{worker_id}.{_unique_token()}.tmp"
-        temp.write_text(json.dumps({
+        text = json.dumps(document)
+        write_in_directory(self.leases_dir, lambda: temp.write_text(text))
+        return temp
+
+    def _write_claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> Path:
+        return self._write_temp(fingerprint, worker_id, {
             "fingerprint": fingerprint,
             "worker": worker_id,
             "deadline": self.clock() + ttl_s,
-        }))
-        return temp
+        })
 
     def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
         path = self._lease_path(fingerprint)
@@ -169,13 +175,11 @@ class FileBackend(GridBackend):
         return True
 
     def mark_done(self, fingerprint: str, worker_id: str) -> None:
-        self.leases_dir.mkdir(parents=True, exist_ok=True)
-        temp = self.leases_dir / f".{fingerprint}.{worker_id}.{_unique_token()}.tmp"
-        temp.write_text(json.dumps({
+        temp = self._write_temp(fingerprint, worker_id, {
             "fingerprint": fingerprint,
             "worker": worker_id,
             "done": True,
-        }))
+        })
         os.replace(temp, self._lease_path(fingerprint))
         self._record_op("mark_done")
 
@@ -212,16 +216,15 @@ class FileBackend(GridBackend):
         (:meth:`iter_records`); the merge is order-independent, so the
         segmentation is invisible to consumers.
         """
-        self.results_dir.mkdir(parents=True, exist_ok=True)
         return ResultLog(
             self.results_dir / f"shard-{shard:04d}.{_safe_worker_id(worker_id)}.jsonl"
         )
 
-    def append_record(
-        self, shard: int, worker_id: str, document: Dict[str, object]
+    def append_records(
+        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
     ) -> None:
-        self.shard_log(shard, worker_id).append(document)
-        self._record_append()
+        self.shard_log(shard, worker_id).extend(documents)
+        self._record_append(len(documents))
 
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:
         if not self.results_dir.is_dir():

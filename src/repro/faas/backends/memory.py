@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..results import parse_json_object
 from .base import GridBackend, _renewable, _wall_clock
@@ -114,13 +114,13 @@ class MemoryBackend(GridBackend):
         return leases
 
     # -- result records ------------------------------------------------------
-    def append_record(
-        self, shard: int, worker_id: str, document: Dict[str, object]
+    def append_records(
+        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
     ) -> None:
-        line = json.dumps(document, sort_keys=True)
+        lines = [json.dumps(document, sort_keys=True) for document in documents]
         with self._lock:
-            self._records.setdefault(int(shard), []).append(line)
-        self._record_append()
+            self._records.setdefault(int(shard), []).extend(lines)
+        self._record_append(len(lines))
 
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:
         with self._lock:

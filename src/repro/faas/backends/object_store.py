@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..results import parse_json_object
 from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
@@ -217,26 +217,28 @@ class ObjectStoreBackend(GridBackend):
         return leases
 
     # -- result records ------------------------------------------------------
-    def append_record(
-        self, shard: int, worker_id: str, document: Dict[str, object]
+    def append_records(
+        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
     ) -> None:
-        body = json.dumps(document, sort_keys=True)
+        # One immutable object per record: each put is durable on its own.
         safe_worker = _safe_worker_id(worker_id)
-        while True:
-            with self._sequence_lock:
-                self._sequence += 1
-                sequence = self._sequence
-            key = (
-                f"{self.prefix}results/shard-{shard:04d}/"
-                f"{safe_worker}/{sequence:08d}.json"
-            )
-            # Create-if-absent: another backend instance sharing our worker
-            # id may own this sequence slot already; bump and retry until a
-            # fresh slot accepts the record.  Records are immutable once
-            # written, so this never overwrites.
-            if self.store.put(key, body, if_absent=True) is not None:
-                self._record_append()
-                return
+        for document in documents:
+            body = json.dumps(document, sort_keys=True)
+            while True:
+                with self._sequence_lock:
+                    self._sequence += 1
+                    sequence = self._sequence
+                key = (
+                    f"{self.prefix}results/shard-{shard:04d}/"
+                    f"{safe_worker}/{sequence:08d}.json"
+                )
+                # Create-if-absent: another backend instance sharing our
+                # worker id may own this sequence slot already; bump and
+                # retry until a fresh slot accepts the record.  Records are
+                # immutable once written, so this never overwrites.
+                if self.store.put(key, body, if_absent=True) is not None:
+                    self._record_append()
+                    break
 
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:
         for key in self.store.keys(f"{self.prefix}results/shard-{shard:04d}/"):

@@ -927,10 +927,18 @@ class CampaignError(RuntimeError):
         super().__init__(f"{len(self.failures)} campaign cell(s) failed:\n  {details}")
 
 
+#: A cell :func:`run_cells` executed: job, result document, wall cost.
+Settled = Tuple[CampaignJob, Dict[str, object], float]
+#: A cell :func:`drive_cells` delivers: job, fresh document, cached result, wall cost.
+Delivered = Tuple[
+    CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult], Optional[float]
+]
+
+
 def run_cells(
     pending: Sequence[CampaignJob],
     workers: Optional[int],
-    finish: Callable[[CampaignJob, Dict[str, object], float], None],
+    finish: Callable[[List[Settled]], None],
     fail: Callable[[CellFailure], None],
     *,
     max_retries: int = 1,
@@ -942,9 +950,11 @@ def run_cells(
     """The cell-execution core :func:`drive_cells` runs its cache misses through.
 
     Runs every admitted cell, serially (``workers <= 1``) or over a
-    ``ProcessPoolExecutor``.  ``finish`` receives ``(job, document,
-    elapsed_s)`` -- the cell's result plus its observed wall cost, measured
-    inside the worker so pool scheduling does not inflate it.  A raising cell
+    ``ProcessPoolExecutor``.  ``finish`` receives a list of ``(job,
+    document, elapsed_s)`` -- each cell's result plus its observed wall
+    cost, measured inside the worker so pool scheduling does not inflate
+    it.  A pooled chunk's successes arrive as one list, so a sink can commit
+    them together; a serial attempt settles alone.  A raising cell
     is retried up to ``max_retries`` times and then reported through ``fail``
     -- one bad cell never aborts the rest of the batch.  The hooks exist for
     the distributed grid path:
@@ -989,12 +999,12 @@ def run_cells(
 
     user_finish, user_fail = finish, fail
 
-    def finish(job: CampaignJob, document: Dict[str, object],
-               elapsed_s: float) -> None:
-        cells_done.inc()
-        cell_seconds.observe(elapsed_s)
+    def finish(settled: List[Settled]) -> None:
+        for _, _, elapsed_s in settled:
+            cells_done.inc()
+            cell_seconds.observe(elapsed_s)
         registry.flush(min_interval_s=1.0)
-        user_finish(job, document, elapsed_s)
+        user_finish(settled)
 
     def fail(failure: CellFailure) -> None:
         cells_failed.inc()
@@ -1039,7 +1049,7 @@ def run_cells(
                 last = exc
                 continue
             settle(job)
-            finish(job, envelope["document"], envelope["elapsed_s"])
+            finish([(job, envelope["document"], envelope["elapsed_s"])])
             return
         settle(job)
         fail(CellFailure(job=job, error=f"{type(last).__name__}: {last}",
@@ -1143,6 +1153,7 @@ def run_cells(
                                       f"{returned} envelope(s) for {len(chunk)} cell(s)"}
                             for _ in range(len(chunk) - len(envelopes))
                         ]
+                    settled: List[Settled] = []
                     for job, envelope in zip(chunk, envelopes):
                         error = envelope.get("error")
                         if error is not None:
@@ -1150,7 +1161,10 @@ def run_cells(
                         else:
                             settle(job)
                             observed.append(envelope["elapsed_s"])
-                            finish(job, envelope["document"], envelope["elapsed_s"])
+                            settled.append(
+                                (job, envelope["document"], envelope["elapsed_s"]))
+                    if settled:
+                        finish(settled)
                 refill()
             # Local cells run in the parent *after* the pooled loop: while
             # the pool churns, the parent sits in wait() firing tick()
@@ -1178,10 +1192,7 @@ def drive_cells(
     jobs: Sequence[CampaignJob],
     workers: Optional[int],
     cache_dir: Optional[Union[str, Path]],
-    deliver: Callable[
-        [CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult], Optional[float]],
-        None,
-    ],
+    deliver: Callable[[List[Delivered]], None],
     fail: Callable[[CellFailure], None],
     *,
     progress: Optional[Callable[[CampaignJob, bool], None]] = None,
@@ -1195,12 +1206,13 @@ def drive_cells(
 
     Probes the cell cache (:func:`iter_cached_cells`), executes the misses
     through :func:`run_cells`, and writes each fresh result back to the
-    cache.  Every finished cell goes to ``deliver(job, document, result,
-    elapsed_s)``: a cache hit as its decoded ``result`` alone (the cache
-    holds no result document; ``result_to_dict(result)`` rebuilds it); a
-    freshly executed cell as its ``document`` (decoding is the sink's
-    business) and its observed wall cost.  ``progress(job,
-    from_cache)`` fires right after each delivery; permanently failed cells
+    cache.  Finished cells go to ``deliver`` as lists of ``(job, document,
+    result, elapsed_s)``: a cache hit as its decoded ``result`` alone (the
+    cache holds no result document; ``result_to_dict(result)`` rebuilds it),
+    one per list; freshly executed cells as their ``document`` (decoding is
+    the sink's business) and observed wall cost, one list per settled chunk
+    (see :func:`run_cells`).  ``progress(job, from_cache)`` fires for each
+    cell right after its delivery; permanently failed cells
     go to ``fail``.  ``admit``/``skip``/``tick`` are :func:`run_cells`' grid
     hooks.  Each served cell counts one cache hit and each admitted cell one
     cache miss, so a grid worker's skipped (leased elsewhere) cells count as
@@ -1221,7 +1233,7 @@ def drive_cells(
             pending.append(job)
             continue
         cache_hits.inc()
-        deliver(job, None, result, None)
+        deliver([(job, None, result, None)])
         if progress is not None:
             progress(job, True)
 
@@ -1231,14 +1243,16 @@ def drive_cells(
         cache_misses.inc()
         return True
 
-    def finish(job: CampaignJob, document: Dict[str, object],
-               elapsed_s: float) -> None:
-        # Cache (and report) every cell as soon as it completes, so an
+    def finish(settled: List[Settled]) -> None:
+        # Cache (and report) every cell as soon as its chunk settles, so an
         # interrupted run keeps the work it already did.
-        _store_cached(cache_path, job, document)
-        deliver(job, document, None, elapsed_s)
+        for job, document, _ in settled:
+            _store_cached(cache_path, job, document)
+        deliver([(job, document, None, elapsed_s)
+                 for job, document, elapsed_s in settled])
         if progress is not None:
-            progress(job, False)
+            for job, _, _ in settled:
+                progress(job, False)
 
     run_cells(
         pending, workers, finish, fail,
@@ -1275,14 +1289,14 @@ def run_campaign(
     found: Dict[str, Tuple[ExperimentResult, bool]] = {}
     failures: List[CellFailure] = []
 
-    def deliver(job: CampaignJob, document: Optional[Dict[str, object]],
-                result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
+    def deliver(cells: List[Delivered]) -> None:
         # The observed cost is a grid-log concern; the in-process result
         # ignores it.
-        found[job.fingerprint()] = (
-            (result, True) if result is not None
-            else (result_from_dict(document), False)  # type: ignore[arg-type]
-        )
+        for job, document, result, _ in cells:
+            found[job.fingerprint()] = (
+                (result, True) if result is not None
+                else (result_from_dict(document), False)  # type: ignore[arg-type]
+            )
 
     drive_cells(jobs, workers, cache_dir, deliver, failures.append,
                 progress=progress, max_retries=max_retries)

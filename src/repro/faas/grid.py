@@ -63,6 +63,7 @@ from .campaign import (
     CampaignResult,
     CampaignSpec,
     CellFailure,
+    Delivered,
     drive_cells,
     iter_cached_cells,
 )
@@ -491,44 +492,58 @@ def run_grid_worker(
         lease_depth.set(len(held))
         registry.flush(min_interval_s=1.0)
 
-    def append(job: CampaignJob, fields: Dict[str, object]) -> str:
-        """Log one settled cell and stop heartbeating it; its fingerprint."""
+    def record(job: CampaignJob, fields: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
+        """One settled cell's log record, and the shard it belongs to."""
         fingerprint = job.fingerprint()
         job_shard = shard_of(fingerprint, run.shard_count)
-        run.backend.append_record(job_shard, worker_id, {
+        return job_shard, {
             "fingerprint": fingerprint, "shard": job_shard, "worker": worker_id,
             **fields,
-        })
-        held.pop(fingerprint, None)
-        lease_depth.set(len(held))
-        return fingerprint
-
-    def deliver(job: CampaignJob, document: Optional[Dict[str, object]],
-                result: Optional[ExperimentResult], elapsed_s: Optional[float]) -> None:
-        # Cache-served cells are logged too, so a merge needs only the logs;
-        # their row document is rebuilt from the decoded result.
-        fields: Dict[str, object] = {
-            "from_cache": result is not None, "job": job.to_dict(),
-            "result": document if result is None else result_to_dict(result),
         }
-        if elapsed_s is not None:
-            # Observed wall cost of this cell; autoscale_hint() medians these
-            # to size the fleet.  Merge/scan ignore unknown record keys.
-            fields["elapsed_s"] = round(float(elapsed_s), 6)
-        # A done marker instead of a plain release: a concurrent worker whose
-        # startup scan predates this completion must not re-claim the cell.
-        leases.mark_done(append(job, fields))
-        if result is None:
-            report.executed += 1
-        else:
-            report.cache_hits += 1
+
+    def deliver(cells: List[Delivered]) -> None:
+        by_shard: Dict[int, List[Dict[str, object]]] = {}
+        for job, document, result, elapsed_s in cells:
+            # Cache-served cells are logged too, so a merge needs only the
+            # logs; their row document is rebuilt from the decoded result.
+            fields: Dict[str, object] = {
+                "from_cache": result is not None, "job": job.to_dict(),
+                "result": document if result is None else result_to_dict(result),
+            }
+            if elapsed_s is not None:
+                # Observed wall cost of this cell; autoscale_hint() medians
+                # these to size the fleet.  Merge/scan ignore unknown keys.
+                fields["elapsed_s"] = round(float(elapsed_s), 6)
+            job_shard, entry = record(job, fields)
+            by_shard.setdefault(job_shard, []).append(entry)
+        # Group commit: every record of the batch is durable before any of
+        # its done markers is written, so a marker never names an unlogged
+        # cell, and a crash before the commit loses only leases that expire.
+        for job_shard, entries in by_shard.items():
+            run.backend.append_records(job_shard, worker_id, entries)
+        for job, _, result, _ in cells:
+            # A done marker instead of a plain release: a concurrent worker
+            # whose startup scan predates this completion must not re-claim
+            # the cell.  Heartbeats continue until the marker is written.
+            leases.mark_done(job.fingerprint())
+            held.pop(job.fingerprint(), None)
+            if result is None:
+                report.executed += 1
+            else:
+                report.cache_hits += 1
+        lease_depth.set(len(held))
 
     def fail(failure: CellFailure) -> None:
-        leases.release(append(failure.job, {
+        job_shard, entry = record(failure.job, {
             "job": failure.job.to_dict(),
             "error": failure.error,
             "attempts": failure.attempts,
-        }))
+        })
+        # The failure is logged before the lease is given up.
+        run.backend.append_records(job_shard, worker_id, [entry])
+        leases.release(failure.job.fingerprint())
+        held.pop(failure.job.fingerprint(), None)
+        lease_depth.set(len(held))
         report.failed += 1
         report.failures.append(failure)
 

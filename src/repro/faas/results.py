@@ -428,6 +428,18 @@ def parse_json_object(raw: Union[str, bytes]) -> Optional[Dict[str, object]]:
     return document if isinstance(document, dict) else None
 
 
+def write_in_directory(directory: Path, write: Callable[[], Any]) -> Any:
+    """Run ``write``; if ``directory`` is missing, create it and retry once.
+
+    So per-cell writes pay no ``mkdir`` unless their directory is new or gone.
+    """
+    try:
+        return write()
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        return write()
+
+
 class ResultLog:
     """An append-only JSONL stream of per-cell documents.
 
@@ -436,9 +448,10 @@ class ResultLog:
     per finished cell, and the merge step folds the logs incrementally
     without ever holding a whole log in memory.
 
-    Each append is a single ``write`` of one newline-terminated line to a
-    file opened in append mode, fsynced before close, so a completed append
-    survives the writer dying.  ``O_APPEND`` writes are atomic on local
+    Each :meth:`extend` commits a batch: a single ``write`` of its
+    newline-terminated lines to a file opened in append mode, fsynced once
+    before close, so a committed batch survives the writer dying.
+    ``O_APPEND`` writes are atomic on local
     filesystems but *not* over NFS, so the intended deployment is a single
     writer per log file -- the grid gives every worker its own log segment
     (:meth:`repro.faas.backends.file.FileBackend.shard_log`) rather than sharing one.
@@ -450,22 +463,23 @@ class ResultLog:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
 
-    def append(self, document: Dict[str, object]) -> None:
-        line = json.dumps(document, sort_keys=True)
-        if "\n" in line:  # pragma: no cover - json never emits raw newlines
+    def extend(self, documents: Sequence[Dict[str, object]]) -> None:
+        """Durably append ``documents``: one write and one ``fsync``."""
+        lines = [json.dumps(document, sort_keys=True) for document in documents]
+        if not lines:
+            return
+        # json.dumps never emits a raw newline: each record stays one line.
+        if any("\n" in line for line in lines):  # pragma: no cover
             raise ValueError("result-log documents must serialise to one line")
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = (line + "\n").encode("utf-8")
-        # A worker killed mid-append leaves a truncated line with no newline;
-        # healing it here keeps that crash from swallowing the next record.
-        try:
-            with open(self.path, "rb") as probe:
-                probe.seek(-1, os.SEEK_END)
-                if probe.read(1) != b"\n":
+        payload = ("\n".join(lines) + "\n").encode("utf-8")
+        with write_in_directory(self.path.parent, lambda: open(self.path, "a+b")) as handle:
+            # A worker killed mid-append leaves a truncated line with no
+            # newline; healing it here keeps that crash from swallowing the
+            # next batch's first record.
+            if handle.seek(0, os.SEEK_END):
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
                     payload = b"\n" + payload
-        except OSError:
-            pass  # no file yet, or empty: nothing to heal
-        with open(self.path, "ab") as handle:
             handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())

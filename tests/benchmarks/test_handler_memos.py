@@ -77,6 +77,23 @@ def oracle_accuracy(kind: str, seed: int) -> float:
     return float((predictions == labels).mean())
 
 
+def oracle_grow_tree(x, y, depth, rng):
+    """``ml._grow_tree`` as it was: ``np.unique`` leaf test, ``np.median`` split."""
+    if depth == 0 or len(np.unique(y)) == 1 or len(y) < 4:
+        return {"leaf": float(np.sign(y.sum()) or 1.0)}
+    feature = int(rng.integers(0, x.shape[1]))
+    threshold = float(np.median(x[:, feature]))
+    left = x[:, feature] <= threshold
+    if left.all() or (~left).all():
+        return {"leaf": float(np.sign(y.sum()) or 1.0)}
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": oracle_grow_tree(x[left], y[left], depth - 1, rng),
+        "right": oracle_grow_tree(x[~left], y[~left], depth - 1, rng),
+    }
+
+
 def oracle_synthetic_variants(chunk_id: int, lines: int) -> List[Dict[str, object]]:
     variants = []
     state = (chunk_id + 1) * 48271 % (2**31)
@@ -163,6 +180,23 @@ class TestTrainAccuracyMemo:
             assert result == {"kind": kind, "accuracy": oracle_accuracy(kind, 8),
                               "model_key": f"ml/model-{kind}-inv-3.bin"}
         assert ml._train_accuracy.cache_info().hits == 1
+
+
+class TestGrowTree:
+    """The tree grower against its ``np.unique``/``np.median`` original."""
+
+    @pytest.mark.parametrize("kind", ["svm", "forest"])
+    def test_accuracy_bits_match_the_original_grower(self, kind, monkeypatch):
+        train = ml._train_accuracy.__wrapped__
+        current = [train(kind, seed).hex() for seed in range(400)]
+        monkeypatch.setattr(ml, "_grow_tree", oracle_grow_tree)
+        assert current == [train(kind, seed).hex() for seed in range(400)]
+
+    def test_median_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for size in range(1, 130):
+            for values in (rng.normal(size=size), rng.integers(0, 4, size).astype(float)):
+                assert ml._median(values).hex() == float(np.median(values)).hex()
 
 
 # ------------------------------------------------------------------- genome

@@ -230,7 +230,7 @@ class TestR008BackendProtocol:
             for m in messages
         )
         assert any(
-            "'MismatchedBackend' method append_record" in m for m in messages
+            "'MismatchedBackend' method append_records" in m for m in messages
         )
         # LeakyBackend: pathlib, open(), and os filesystem access.
         assert any(

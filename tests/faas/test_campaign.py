@@ -459,8 +459,8 @@ class TestChunkedDispatch:
         jobs = spec.expand()
         finished, failures = {}, []
         run_cells(jobs, 2,
-                  lambda job, document, elapsed: finished.setdefault(
-                      job.fingerprint(), document),
+                  lambda settled: finished.update(
+                      (job.fingerprint(), document) for job, document, _ in settled),
                   failures.append, max_retries=1)
         assert len(finished) == 6
         assert len(failures) == 6
@@ -479,8 +479,8 @@ class TestChunkedDispatch:
         finished, failures = {}, []
         campaign_module.run_cells(
             jobs, 2,
-            lambda job, document, elapsed: finished.setdefault(
-                job.fingerprint(), document),
+            lambda settled: finished.update(
+                (job.fingerprint(), document) for job, document, _ in settled),
             failures.append, max_retries=0)
         assert not finished
         assert len(failures) == 2
@@ -511,8 +511,8 @@ class TestChunkedDispatch:
         inline = {job.fingerprint(): execute_job_inline(job) for job in jobs}
         chunked, failures = {}, []
         run_cells(jobs, 2,
-                  lambda job, document, elapsed: chunked.setdefault(
-                      job.fingerprint(), document),
+                  lambda settled: chunked.update(
+                      (job.fingerprint(), document) for job, document, _ in settled),
                   failures.append)
         assert not failures
         assert chunked.keys() == inline.keys()

@@ -318,8 +318,8 @@ class TestLeaseHeartbeat:
 class TestResultLog:
     def test_append_and_iterate(self, tmp_path):
         log = ResultLog(tmp_path / "log.jsonl")
-        log.append({"fingerprint": "a", "result": {}})
-        log.append({"fingerprint": "b", "result": {}})
+        log.extend([{"fingerprint": "a", "result": {}}])
+        log.extend([{"fingerprint": "b", "result": {}}])
         assert [record["fingerprint"] for record in log] == ["a", "b"]
         assert len(log) == 2
 
@@ -327,13 +327,14 @@ class TestResultLog:
         """A worker killed mid-append must not poison the log."""
         path = tmp_path / "log.jsonl"
         log = ResultLog(path)
-        log.append({"fingerprint": "a"})
+        log.extend([{"fingerprint": "a"}])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint": "b", "resu')  # no newline: killed here
         assert [record["fingerprint"] for record in log] == ["a"]
-        # ...and a retry's append after the truncated line still parses.
-        log.append({"fingerprint": "c"})
-        assert [record["fingerprint"] for record in log] == ["a", "c"]
+        # ...and a retry's batch after the truncated line still parses whole.
+        log.extend([{"fingerprint": "c"}, {"fingerprint": "d"}])
+        log.extend([])
+        assert [record["fingerprint"] for record in log] == ["a", "c", "d"]
 
     def test_missing_file_iterates_empty(self, tmp_path):
         assert list(ResultLog(tmp_path / "nope.jsonl")) == []
@@ -343,11 +344,108 @@ class TestResultLog:
         like any other: skipped, not a RecursionError for the merge."""
         path = tmp_path / "log.jsonl"
         log = ResultLog(path)
-        log.append({"fingerprint": "a"})
+        log.extend([{"fingerprint": "a"}])
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("[" * 100_000 + "\n")
-        log.append({"fingerprint": "b"})
+        log.extend([{"fingerprint": "b"}])
         assert [record["fingerprint"] for record in log] == ["a", "b"]
+
+
+
+#: The perfbench ``grid_sweep`` campaign: 192 cells of a few ms each.
+SWEEP = CampaignSpec(
+    benchmarks=("function_chain", "parallel_sleep", "storage_io"),
+    platforms=("aws", "gcp", "azure", "hpc"),
+    seeds=tuple(range(16)),
+    workloads=("burst:burst_size=4",),
+)
+
+
+class TestGroupCommit:
+    """File-backend durability order: a record is fsynced before the done
+    marker or release that announces it, and a settled chunk is one commit
+    per shard rather than one per cell."""
+
+    @staticmethod
+    def spy(monkeypatch, run):
+        """Log fsyncs (with every fingerprint durable at that moment), done
+        markers and releases, in order; count the batches run_cells settles."""
+        events, batches = [], []
+        real_fsync, real_run_cells = os.fsync, campaign.run_cells
+
+        def fsync(fd):
+            real_fsync(fd)
+            durable = {str(record.get("fingerprint"))
+                       for log in sorted(run.backend.results_dir.glob("*.jsonl"))
+                       for record in ResultLog(log)}
+            events.append(("fsync", durable))
+
+        def lease_op(kind, real):
+            def spied(self, fingerprint, worker_id):
+                events.append((kind, fingerprint))
+                return real(self, fingerprint, worker_id)
+            return spied
+
+        def counting_run_cells(pending, workers, finish, fail, **hooks):
+            def counted(settled):
+                batches.append(len(settled))
+                finish(settled)
+            return real_run_cells(pending, workers, counted, fail, **hooks)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(FileBackend, "mark_done",
+                            lease_op("done", FileBackend.mark_done))
+        monkeypatch.setattr(FileBackend, "release",
+                            lease_op("release", FileBackend.release))
+        monkeypatch.setattr(campaign, "run_cells", counting_run_cells)
+        return events, batches
+
+    @staticmethod
+    def assert_ordered(events):
+        durable = set()
+        for kind, payload in events:
+            if kind == "fsync":
+                durable = payload
+            else:
+                assert payload in durable, \
+                    f"{kind} of {payload[:12]} before its record was fsynced"
+
+    def test_a_pooled_sweep_commits_once_per_chunk_and_shard(self, tmp_path, monkeypatch):
+        run = GridRun.create(SWEEP, tmp_path / "run", shard_count=2)
+        events, batches = self.spy(monkeypatch, run)
+        report = run_grid_worker(run, workers=2, worker_id="w")
+        fsyncs = sum(1 for kind, _ in events if kind == "fsync")
+        assert report.executed == sum(batches) == 192 and report.failed == 0
+        assert sum(1 for kind, _ in events if kind == "done") == 192
+        self.assert_ordered(events)
+        assert fsyncs <= len(batches) * run.shard_count
+        assert fsyncs <= 32
+        assert len(merge_run(run).cells) == 192
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failure_record_is_committed_before_its_release(
+            self, tmp_path, monkeypatch, workers):
+        spec = tiny_spec(benchmarks=("function_chain", "no_such_benchmark"))
+        run = GridRun.create(spec, tmp_path / "run", shard_count=2)
+        events, _ = self.spy(monkeypatch, run)
+        report = run_grid_worker(run, workers=workers, worker_id="w", max_retries=0)
+        assert report.failed == 4 and report.executed == 4
+        assert sum(1 for kind, _ in events if kind == "release") == 4
+        self.assert_ordered(events)
+
+    def test_deleted_directories_heal(self, tmp_path):
+        backend = FileBackend(tmp_path / "run")
+        backend.append_records(0, "w", [{"fingerprint": "a" * 64}])
+        assert backend.claim("a" * 64, "w", 30.0)
+        for directory in (backend.leases_dir, backend.results_dir):
+            for path in directory.iterdir():
+                path.unlink()
+            directory.rmdir()
+        assert backend.claim("b" * 64, "w", 30.0)
+        backend.mark_done("b" * 64, "w")
+        backend.append_records(0, "w", [{"fingerprint": "b" * 64}])
+        assert backend.read_lease("b" * 64)["done"] is True
+        assert [record["fingerprint"] for record in backend.iter_records(0)] == ["b" * 64]
 
 
 class TestGridRun:
@@ -593,7 +691,7 @@ class TestGridExecution:
         # host-b finds everything done, but a cache-served rerun of host-b
         # over a fresh cell set would write its own segment; force one record
         # through the API to check the naming.
-        run.backend.append_record(0, "host-b", {"fingerprint": "x", "shard": 0})
+        run.backend.append_records(0, "host-b", [{"fingerprint": "x", "shard": 0}])
         segments = sorted(p.name for p in (run.run_dir / "results").iterdir())
         assert segments == ["shard-0000.host-a.jsonl", "shard-0000.host-b.jsonl"]
         # Readers fold every segment.
@@ -630,10 +728,10 @@ class TestGridExecution:
         spec = tiny_spec(platforms=("aws",), seeds=(0,))
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         job = spec.expand()[0]
-        run.backend.append_record(0, "bad-writer", {
+        run.backend.append_records(0, "bad-writer", [{
             "fingerprint": job.fingerprint(), "shard": 0,
             "result": "not a result document",
-        })
+        }])
         assert grid_status(run)[0].pending == 1
         report = run_grid_worker(run, workers=1)
         assert report.executed == 1
@@ -658,7 +756,7 @@ class TestMergeProperties:
         clone_dir = tmp_path / "clone"
         clone = GridRun.create(source.spec, clone_dir, shard_count=source.shard_count)
         for record in records:
-            clone.backend.append_record(int(record["shard"]), "rewrite", record)
+            clone.backend.append_records(int(record["shard"]), "rewrite", [record])
         return clone
 
     def all_records(self, run: GridRun):
@@ -709,7 +807,7 @@ class TestMergeProperties:
             {"fingerprint": records[0]["fingerprint"], "shard": 0},  # no result
         ]
         for record in noise:
-            clone.backend.append_record(0, "noise", record)
+            clone.backend.append_records(0, "noise", [record])
         log_path = clone.backend.results_dir / "shard-0000.noise.jsonl"
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write("garbage line\n")

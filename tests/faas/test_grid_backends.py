@@ -52,6 +52,14 @@ def canonical(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
 
 
+class WorkerCrash(BaseException):
+    """A worker process dying: not an ``Exception``, so nothing recovers it."""
+
+
+def crash(*args, **kwargs):
+    raise WorkerCrash
+
+
 class FakeClock:
     """Injectable backend clock: expiry by advancing time, not sleeping."""
 
@@ -139,9 +147,9 @@ class TestLeaseInvariants:
 
 class TestRecordsAndManifest:
     def test_appends_from_two_workers_interleave(self, backend):
-        backend.append_record(0, "w1", {"fingerprint": FP_A, "n": 1})
-        backend.append_record(0, "w2", {"fingerprint": FP_B, "n": 2})
-        backend.append_record(1, "w1", {"fingerprint": FP_A, "n": 3})
+        backend.append_records(0, "w1", [{"fingerprint": FP_A, "n": 1}])
+        backend.append_records(0, "w2", [{"fingerprint": FP_B, "n": 2}])
+        backend.append_records(1, "w1", [{"fingerprint": FP_A, "n": 3}])
         shard0 = list(backend.iter_records(0))
         assert sorted(record["n"] for record in shard0) == [1, 2]
         assert [record["n"] for record in backend.iter_records(1)] == [3]
@@ -215,22 +223,22 @@ class TestFaultInjection:
         assert canonical(merge_run(run)) == golden
         records = list(run.iter_shard_records(0))
         # A retried worker appended the same cell twice...
-        backend.append_record(0, "retry", records[0])
+        backend.append_records(0, "retry", [records[0]])
         # ...a cell recorded a failure before its eventual success...
-        backend.append_record(0, "retry", {
+        backend.append_records(0, "retry", [{
             "fingerprint": records[0]["fingerprint"],
             "shard": 0, "worker": "retry", "error": "boom", "attempts": 1,
-        })
+        }])
         # ...a record arrived torn (non-dict result payload)...
-        backend.append_record(0, "retry", {
+        backend.append_records(0, "retry", [{
             "fingerprint": records[1]["fingerprint"],
             "shard": 0, "worker": "retry", "result": "truncat",
-        })
+        }])
         # ...and a foreign record from some other sweep leaked in.
-        backend.append_record(0, "stray", {
+        backend.append_records(0, "stray", [{
             "fingerprint": "f" * 64, "shard": 0, "worker": "stray",
             "result": {"bogus": True},
-        })
+        }])
         if isinstance(backend, FileBackend):
             # A torn JSONL line (the crash the per-record object stores
             # cannot even express) must be skipped, not fatal.
@@ -247,6 +255,48 @@ class TestFaultInjection:
         run_grid_worker(run, shard=1, workers=1, clock=backend.clock)
         assert canonical(merge_run(run)) == \
             canonical(run_campaign(spec, workers=1))
+
+    def test_crash_between_commit_and_done_markers_reexecutes_nothing(
+            self, backend, monkeypatch):
+        """The worker dies after its batch commit, before any done marker:
+        the resumed worker finds the cell in the logs and leaves it alone."""
+        spec = tiny_spec()
+        run = GridRun.create(spec, backend=backend, shard_count=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(backend, "mark_done", crash)
+            with pytest.raises(WorkerCrash):
+                run_grid_worker(run, workers=1, worker_id="crashed",
+                                lease_ttl_s=30.0, clock=backend.clock)
+        logged = {record["fingerprint"]
+                  for shard in range(2) for record in backend.iter_records(shard)}
+        assert len(logged) == 1
+        assert not backend.read_lease(next(iter(logged))).get("done")
+        resumed = run_grid_worker(run, workers=1, worker_id="resumed",
+                                  lease_ttl_s=30.0, clock=backend.clock)
+        assert resumed.already_done == 1 and resumed.executed == 3
+        records = [record for shard in range(2) for record in backend.iter_records(shard)]
+        assert len(records) == 4  # nothing logged twice
+        assert canonical(merge_run(run)) == canonical(run_campaign(spec, workers=1))
+
+    def test_crash_before_commit_reruns_the_cells_after_ttl(self, backend, monkeypatch):
+        """The worker dies while committing: its leased cells are not in the
+        logs, stay blocked until the TTL runs out, then run again."""
+        spec = tiny_spec()
+        run = GridRun.create(spec, backend=backend, shard_count=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(backend, "append_records", crash)
+            with pytest.raises(WorkerCrash):
+                run_grid_worker(run, workers=1, worker_id="crashed",
+                                lease_ttl_s=30.0, clock=backend.clock)
+        assert list(backend.iter_records(0)) == []
+        early = run_grid_worker(run, workers=1, worker_id="early",
+                                lease_ttl_s=30.0, clock=backend.clock)
+        assert early.skipped_leased == 1 and early.executed == 3
+        backend.clock.advance(31.0)
+        late = run_grid_worker(run, workers=1, worker_id="late",
+                               lease_ttl_s=30.0, clock=backend.clock)
+        assert late.executed == 1 and late.already_done == 3
+        assert canonical(merge_run(run)) == canonical(run_campaign(spec, workers=1))
 
     def test_rejoining_a_different_spec_is_refused(self, backend):
         GridRun.create(tiny_spec(), backend=backend, shard_count=1)

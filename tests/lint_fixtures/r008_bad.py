@@ -18,7 +18,7 @@ class IncompleteBackend(GridBackend):
     def release(self, fingerprint, worker_id):
         pass
 
-    def append_record(self, shard, worker_id, document):
+    def append_records(self, shard, worker_id, documents):
         pass
 
     def iter_records(self, shard):
@@ -32,7 +32,7 @@ class IncompleteBackend(GridBackend):
 
 
 class MismatchedBackend(GridBackend):
-    """Full method set, but claim renamed its params and append_record
+    """Full method set, but claim renamed its params and append_records
     dropped worker_id: two findings."""
 
     def claim(self, fp, who, lease_seconds):
@@ -50,7 +50,7 @@ class MismatchedBackend(GridBackend):
     def active(self):
         return {}
 
-    def append_record(self, shard, document):
+    def append_records(self, shard, documents):
         pass
 
     def iter_records(self, shard):
@@ -83,7 +83,7 @@ class LeakyBackend(GridBackend):
     def active(self):
         return {name: {} for name in os.listdir("leases")}  # os leak
 
-    def append_record(self, shard, worker_id, document):
+    def append_records(self, shard, worker_id, documents):
         pass
 
     def iter_records(self, shard):

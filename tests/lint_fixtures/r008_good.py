@@ -30,8 +30,8 @@ class CompliantBackend(GridBackend):
     def active(self):
         return {fp: {"worker": who} for fp, who in self._leases.items()}
 
-    def append_record(self, shard, worker_id, document):
-        self._records.setdefault(shard, []).append(document)
+    def append_records(self, shard, worker_id, documents):
+        self._records.setdefault(shard, []).extend(documents)
 
     def iter_records(self, shard):
         return iter(self._records.get(shard, []))
@@ -67,7 +67,7 @@ class FileBackend(backends.GridBackend):
     def active(self):
         return {}
 
-    def append_record(self, shard, worker_id, document):
+    def append_records(self, shard, worker_id, documents):
         with open(self.root / f"shard-{shard}.jsonl", "a") as handle:
             handle.write("{}\n")
 

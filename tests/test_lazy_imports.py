@@ -5,7 +5,8 @@ coordinator -- must not pay ``numpy.random``'s import time and memory.  The
 simulator loads it on the first stream it creates.
 
 The artifact path (planner, campaign, grid) also stays clear of the dev
-tools, the HTTP server and the asyncio/ssl stack they pull in.
+tools, the HTTP server and the asyncio/ssl stack they pull in, and an ``ml``
+cell runs without ``numpy.ma``.
 """
 
 import os
@@ -46,6 +47,18 @@ print("lean")
 """
 
 
+ML_CELL_SCRIPT = """
+import sys
+
+from repro.faas.campaign import CampaignSpec, execute_job_inline
+
+spec = CampaignSpec(benchmarks=("ml",), platforms=("aws",), seeds=(0,), burst_size=2)
+execute_job_inline(spec.expand()[0])
+assert "numpy.ma" not in sys.modules
+print("no numpy.ma")
+"""
+
+
 def run_script(script: str) -> str:
     completed = subprocess.run(
         [sys.executable, "-c", script],
@@ -64,3 +77,9 @@ def test_entry_points_do_not_import_numpy_random():
 
 def test_artifact_path_does_not_import_devtools_server_or_asyncio():
     assert run_script(ARTIFACT_PATH_SCRIPT) == "lean"
+
+
+def test_an_ml_cell_does_not_import_numpy_ma():
+    """The forest's tree grower avoids ``np.unique``/``np.median``, whose
+    NaN and masked-array checks import ``numpy.ma`` in every cold worker."""
+    assert run_script(ML_CELL_SCRIPT) == "no numpy.ma"
