@@ -1153,11 +1153,15 @@ def run_cells(
                                       f"{returned} envelope(s) for {len(chunk)} cell(s)"}
                             for _ in range(len(chunk) - len(envelopes))
                         ]
+                    # Deliver the chunk's successes before touching its
+                    # errors: a retry's submit can raise BrokenProcessPool,
+                    # and the drain only sees cells still in ``remaining``.
                     settled: List[Settled] = []
+                    errors: List[Tuple[CampaignJob, str]] = []
                     for job, envelope in zip(chunk, envelopes):
                         error = envelope.get("error")
                         if error is not None:
-                            retry_or_fail(job, str(error))
+                            errors.append((job, str(error)))
                         else:
                             settle(job)
                             observed.append(envelope["elapsed_s"])
@@ -1165,6 +1169,8 @@ def run_cells(
                                 (job, envelope["document"], envelope["elapsed_s"]))
                     if settled:
                         finish(settled)
+                    for job, error in errors:
+                        retry_or_fail(job, error)
                 refill()
             # Local cells run in the parent *after* the pooled loop: while
             # the pool churns, the parent sits in wait() firing tick()

@@ -486,6 +486,61 @@ class TestChunkedDispatch:
         assert len(failures) == 2
         assert all("ChunkProtocolError" in f.error for f in failures)
 
+    def test_chunk_successes_survive_a_pool_break_on_retry(self, monkeypatch):
+        """A chunk mixing a success and an error, whose retry submit finds
+        the pool broken: the success must still be delivered exactly once,
+        and the erroring cell drained into a CellFailure."""
+        from collections import Counter
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.faas import campaign as campaign_module
+
+        class InlinePool:
+            """Completes chunks at submit; breaks once an error was returned."""
+
+            broken = False
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, payloads):
+                if InlinePool.broken:
+                    raise BrokenProcessPool("a sibling worker was killed")
+                envelopes = []
+                for payload in payloads:
+                    if payload["benchmark"] == "no_such_benchmark":
+                        InlinePool.broken = True
+                        envelopes.append({"error": "KeyError: no_such_benchmark"})
+                    else:
+                        envelopes.append({"document": {"seed": payload["seed_index"]},
+                                          "elapsed_s": 0.0})
+                future = Future()
+                future.set_result(envelopes)
+                return future
+
+        monkeypatch.setattr(campaign_module, "ProcessPoolExecutor", InlinePool)
+        good = small_spec(benchmarks=("function_chain",), platforms=("aws",),
+                          seeds=tuple(range(5))).expand()
+        bad = small_spec(benchmarks=("no_such_benchmark",), platforms=("aws",),
+                         seeds=(0,)).expand()
+        # Two workers open a window of four single-cell chunks; the zero
+        # observed cost then batches the last good cell with the bad one.
+        delivered, failures = Counter(), []
+        campaign_module.run_cells(
+            good + bad, 2,
+            lambda settled: delivered.update(job.fingerprint() for job, _, _ in settled),
+            failures.append, max_retries=1)
+        assert InlinePool.broken
+        assert delivered == Counter(job.fingerprint() for job in good)
+        assert [f.job.fingerprint() for f in failures] == [bad[0].fingerprint()]
+
     @settings(max_examples=4, deadline=None)
     @given(
         benchmarks=st.sets(
