@@ -421,6 +421,7 @@ def _setup_merge(profile: BenchProfile) -> object:
     """
     from ...faas.campaign import CampaignSpec
     from ...faas.grid import GridRun
+    from ...faas.results import encode_document, record_line
 
     spec = CampaignSpec(
         benchmarks=("function_chain",), platforms=("aws",),
@@ -431,15 +432,15 @@ def _setup_merge(profile: BenchProfile) -> object:
     document = _execute_cell(jobs[0])
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-merge-")
     run = GridRun.create(spec, tmp.name, shard_count=1)
+    text = encode_document(document)
     for job in jobs:
-        run.backend.append_records(0, "bench", [{
+        run.backend.append_records(0, "bench", [record_line({
             "fingerprint": job.fingerprint(),
             "shard": 0,
             "worker": "bench",
             "from_cache": False,
             "job": job.to_dict(),
-            "result": document,
-        }])
+        }, text)])
     return (tmp, run, len(jobs))
 
 
@@ -466,24 +467,26 @@ def _cleanup_merge(state: object) -> None:
 def _drive_backend(backend: object, ops: int) -> BenchSample:
     """Time ``ops`` full lease round trips against a fresh backend.
 
-    Each iteration is the life of one cell as a grid worker sees it:
-    claim the lease, renew it once mid-flight, append the result record,
-    mark the lease done.  Fingerprints are unique per iteration because done
+    Each iteration is the life of one cell as a grid worker sees it, with
+    one-cell batches: claim the lease, renew it once mid-flight, append
+    the result record, mark the lease done.  Fingerprints are unique per iteration because done
     markers are permanent by design -- a reused fingerprint would measure the
     (cheap) already-done early-out instead of the full protocol.
     """
+    from ...faas.results import encode_document
+
     start = perf_counter()
     for index in range(ops):
         fingerprint = f"{index:064x}"
-        if not backend.claim(fingerprint, "bench", 300.0):
+        if backend.claim_many([fingerprint], "bench", 300.0) != [True]:
             raise RuntimeError(f"backend refused fresh claim {index}")
         if not backend.renew(fingerprint, "bench", 300.0):
             raise RuntimeError(f"backend refused renew {index}")
-        backend.append_records(0, "bench", [{
+        backend.append_records(0, "bench", [encode_document({
             "fingerprint": fingerprint, "shard": 0, "worker": "bench",
             "from_cache": False, "result": {"index": index},
-        }])
-        backend.mark_done(fingerprint, "bench")
+        })])
+        backend.mark_done_many([fingerprint], "bench")
     elapsed = perf_counter() - start
     return BenchSample(units=ops, seconds=elapsed)
 

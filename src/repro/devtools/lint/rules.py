@@ -761,20 +761,20 @@ class BackendProtocolRule(Rule):
     rule_id = "R008"
     name = "backend-protocol"
     description = (
-        "GridBackend implementations define the full claim/renew/mark_done/"
-        "release/active/append_records/iter_records/read_manifest/"
+        "GridBackend implementations define the full claim_many/renew/"
+        "mark_done_many/release/active/append_records/iter_records/read_manifest/"
         "write_manifest protocol with matching signatures; filesystem access "
         "stays inside FileBackend"
     )
 
     #: The protocol: method name -> exact positional parameter names.
     PROTOCOL: Mapping[str, Tuple[str, ...]] = {
-        "claim": ("self", "fingerprint", "worker_id", "ttl_s"),
+        "claim_many": ("self", "fingerprints", "worker_id", "ttl_s"),
         "renew": ("self", "fingerprint", "worker_id", "ttl_s"),
-        "mark_done": ("self", "fingerprint", "worker_id"),
+        "mark_done_many": ("self", "fingerprints", "worker_id"),
         "release": ("self", "fingerprint", "worker_id"),
         "active": ("self",),
-        "append_records": ("self", "shard", "worker_id", "documents"),
+        "append_records": ("self", "shard", "worker_id", "lines"),
         "iter_records": ("self", "shard"),
         "read_manifest": ("self",),
         "write_manifest": ("self", "manifest"),

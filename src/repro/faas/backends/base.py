@@ -13,12 +13,13 @@ store with conditional puts
 Every implementation must honour the same five invariants the file backend
 pioneered, because the worker/merge logic above is written against them:
 
-1. **Claim exclusivity** -- :meth:`GridBackend.claim` succeeds for exactly
-   one contender per fingerprint, however many workers race.
+1. **Claim exclusivity** -- :meth:`GridBackend.claim_many` wins each
+   fingerprint for exactly one contender, however many workers race and
+   however their batches overlap.
 2. **Expiry reclaim** -- an expired lease is claimable again, and exactly one
    of several racing reclaimers wins.
-3. **Done permanence** -- after :meth:`GridBackend.mark_done`, no claim on
-   that fingerprint ever succeeds again.
+3. **Done permanence** -- after :meth:`GridBackend.mark_done_many`, no claim
+   on those fingerprints ever succeeds again.
 4. **Append durability and tolerance** -- :meth:`GridBackend.append_records`
    never overwrites and returns only once the whole batch is durable, so a
    caller may publish what the batch records (done markers) right after it;
@@ -27,6 +28,10 @@ pioneered, because the worker/merge logic above is written against them:
 5. **Manifest exclusivity** -- :meth:`GridBackend.write_manifest` installs
    the manifest only if none exists; losers of an initialisation race must
    re-read and validate instead of clobbering.
+6. **Lease files are never written in place** -- a lease is created,
+   replaced whole, or removed.  The file backend links one shared file
+   onto every lease of a claim or done batch, so an in-place write to one
+   lease would rewrite its batch-mates too.
 
 Time never comes from the backend's medium: every deadline read/write flows
 through the injectable :attr:`GridBackend.clock`, so tests drive lease expiry
@@ -38,7 +43,7 @@ from __future__ import annotations
 import re
 import time
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from ...observability import current_registry
 
@@ -61,6 +66,13 @@ def _safe_worker_id(worker_id: str) -> str:
     return cleaned or "worker"
 
 
+def _batch(items: Sequence[str]) -> Sequence[str]:
+    """``items``; one ``str`` would be a batch of characters, so it raises."""
+    if isinstance(items, str):
+        raise TypeError("expected a sequence of strings, not one str; wrap it in a list")
+    return items
+
+
 def _renewable(holder: Optional[Dict[str, object]], worker_id: str) -> bool:
     """Whether ``worker_id`` may heartbeat this lease document.
 
@@ -78,10 +90,12 @@ def _renewable(holder: Optional[Dict[str, object]], worker_id: str) -> bool:
 class GridBackend(ABC):
     """Abstract coordination medium for a grid run.
 
-    Leases are keyed by cell fingerprint and carry ``{fingerprint, worker,
-    deadline}`` documents (or ``{fingerprint, worker, done: True}`` once the
-    cell is finished).  Records are arbitrary JSON-serializable dicts grouped
-    by shard index.  The manifest is the run's identity document.
+    Leases are keyed by cell fingerprint and carry ``{worker, deadline}``
+    documents (or ``{worker, done: True}`` once the cell is finished); a
+    backend may add fields, but readers key leases by fingerprint, never by
+    a document field.  Records are JSON object lines -- already encoded, see
+    :func:`~repro.faas.results.record_line` -- grouped by shard index.  The
+    manifest is the run's identity document.
 
     Implementations hold no per-worker state: ``worker_id`` and ``ttl_s``
     arrive with each call, so one backend instance can serve any number of
@@ -123,8 +137,15 @@ class GridBackend(ABC):
 
     # -- leases --------------------------------------------------------------
     @abstractmethod
-    def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        """Try to acquire the lease; True when ``worker_id`` now holds it."""
+    def claim_many(
+        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
+    ) -> List[bool]:
+        """Try to acquire each lease; True where ``worker_id`` now holds it.
+
+        Each cell is decided on its own (a batch is not all-or-nothing), and
+        telemetry counts one ``claim``, ``reclaim`` or ``claim_conflict`` per
+        cell.
+        """
 
     @abstractmethod
     def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
@@ -135,8 +156,8 @@ class GridBackend(ABC):
         """
 
     @abstractmethod
-    def mark_done(self, fingerprint: str, worker_id: str) -> None:
-        """Replace the lease with a permanent done marker (unconditionally)."""
+    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
+        """Replace each lease with a permanent done marker (unconditionally)."""
 
     @abstractmethod
     def release(self, fingerprint: str, worker_id: str) -> None:
@@ -152,14 +173,13 @@ class GridBackend(ABC):
 
     # -- result records ------------------------------------------------------
     @abstractmethod
-    def append_records(
-        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
-    ) -> None:
-        """Durably append a batch of result records to a shard's stream.
+    def append_records(self, shard: int, worker_id: str, lines: Sequence[str]) -> None:
+        """Durably append a batch of encoded records to a shard's stream.
 
-        One call is one commit: a grid worker hands over a whole settled
-        chunk at once, so a file log pays one ``fsync`` per chunk, not one
-        per cell.
+        Each line is one record's JSON object text, without a newline.  One
+        call is one commit: a grid worker hands over a whole settled chunk
+        at once, so a file log pays one ``fsync`` per chunk, not one per
+        cell.
         """
 
     @abstractmethod

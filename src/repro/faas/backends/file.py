@@ -11,7 +11,9 @@ Layout under the backend root::
 
     ROOT/
       grid.json                   campaign spec + shard count + versions
-      leases/<fingerprint>.lease  live claims: {worker, deadline}
+      leases/<fingerprint>.lease  live claims: {worker, deadline}; done
+                                  markers: {worker, done} (hard links of
+                                  one file per batch)
       results/shard-0000.<worker>.jsonl   streaming per-cell result documents
 
 This module is the *only* place in the backends package allowed to touch the
@@ -25,10 +27,10 @@ import json
 import os
 import uuid
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
 
-from ..results import ResultLog, write_in_directory
-from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
+from ..results import ResultLog, parse_json_object, write_in_directory
+from .base import GridBackend, _batch, _renewable, _safe_worker_id, _wall_clock
 
 #: The run manifest's file name under the backend root.
 MANIFEST_NAME = "grid.json"
@@ -46,12 +48,15 @@ def _unique_token() -> str:
 class FileBackend(GridBackend):
     """File-based TTL leases and result logs over a shared run directory.
 
-    A claim atomically hard-links a uniquely named temp file onto
-    ``<fingerprint>.lease`` -- ``link(2)`` fails if the target exists, so
-    exactly one contender wins no matter how many workers race.  Reclaiming
-    an expired lease first renames it onto a unique tombstone; the rename
-    succeeds for exactly one contender, so two workers never both adopt the
-    same crashed worker's cell.
+    A claim batch writes one uniquely named ``{worker, deadline}`` file and
+    atomically hard-links it onto each ``<fingerprint>.lease`` -- ``link(2)``
+    fails if the target exists, so exactly one contender wins each cell no
+    matter how many workers race.  Reclaiming an expired lease first renames
+    it onto a unique tombstone; the rename succeeds for exactly one
+    contender, so two workers never both adopt the same crashed worker's
+    cell.  A release sweeps the same way and puts back a rival's reclaim.
+    The leases of one batch share an inode, so a lease is never written in
+    place: renewals and done markers are fresh files renamed over it.
 
     A worker that merely stalls past its TTL is *not* fenced: its cell may be
     re-executed elsewhere.  That is safe here -- cells are deterministic and
@@ -59,9 +64,9 @@ class FileBackend(GridBackend):
     availability over exclusivity.
 
     A finished cell's lease becomes a permanent *done marker*
-    (:meth:`mark_done`): unlike a released or expired lease it can never be
-    claimed again, so workers whose startup scan predates the completion do
-    not re-execute cells that are already in the logs.
+    (:meth:`mark_done_many`): unlike a released or expired lease it can
+    never be claimed again, so workers whose startup scan predates the
+    completion do not re-execute cells that are already in the logs.
 
     Construction never touches the disk -- opening a missing run must fail
     cleanly and a dry run must not create directories -- so directories are
@@ -88,75 +93,84 @@ class FileBackend(GridBackend):
     def _lease_path(self, fingerprint: str) -> Path:
         return self.leases_dir / f"{fingerprint}.lease"
 
-    def _write_temp(self, fingerprint: str, worker_id: str,
-                    document: Dict[str, object]) -> Path:
-        """A private temp lease file holding ``document``, ready to link."""
-        temp = self.leases_dir / f".{fingerprint}.{worker_id}.{_unique_token()}.tmp"
+    def _write_shared(self, worker_id: str, document: Dict[str, object]) -> Path:
+        """A private temp file holding ``document``, to link onto a batch of leases."""
+        temp = self.leases_dir / f".batch.{worker_id}.{_unique_token()}.tmp"
         text = json.dumps(document)
         write_in_directory(self.leases_dir, lambda: temp.write_text(text))
         return temp
 
-    def _write_claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> Path:
-        return self._write_temp(fingerprint, worker_id, {
-            "fingerprint": fingerprint,
-            "worker": worker_id,
-            "deadline": self.clock() + ttl_s,
-        })
+    def _claim_document(self, worker_id: str, ttl_s: float) -> Dict[str, object]:
+        return {"worker": worker_id, "deadline": self.clock() + ttl_s}
 
-    def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        path = self._lease_path(fingerprint)
-        temp = self._write_claim(fingerprint, worker_id, ttl_s)
+    def claim_many(
+        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
+    ) -> List[bool]:
+        if not _batch(fingerprints):
+            return []
+        shared = self._write_shared(worker_id, self._claim_document(worker_id, ttl_s))
         try:
+            return [self._claim(fingerprint, shared) for fingerprint in fingerprints]
+        finally:
+            shared.unlink(missing_ok=True)
+
+    def _claim(self, fingerprint: str, shared: Path) -> bool:
+        """Link ``shared`` onto one lease; reclaim it if expired."""
+        path = self._lease_path(fingerprint)
+        try:
+            os.link(shared, path)
+            self._record_op("claim")
+            return True
+        except FileExistsError:
+            pass
+        holder = self.read_lease(fingerprint)
+        if holder is not None and holder.get("done"):
+            self._record_op("claim_conflict")
+            return False  # the cell is finished and logged; never re-claim
+        if holder is not None and float(holder.get("deadline", 0)) >= self.clock():
+            self._record_op("claim_conflict")
+            return False  # live lease held by someone else
+        # Expired or unreadable: tombstone-rename it out of the way; exactly
+        # one contender's rename succeeds.  A rival's fresh claim (or done
+        # marker) linked since our read is restored, and we back off.
+        if self._sweep(fingerprint, lambda swept: (
+            swept.get("done") or float(swept.get("deadline", 0)) >= self.clock()
+        )):
             try:
-                os.link(temp, path)
-                self._record_op("claim")
-                return True
-            except FileExistsError:
-                pass
-            holder = self.read_lease(fingerprint)
-            if holder is not None and holder.get("done"):
-                self._record_op("claim_conflict")
-                return False  # the cell is finished and logged; never re-claim
-            if holder is not None and float(holder.get("deadline", 0)) >= self.clock():
-                self._record_op("claim_conflict")
-                return False  # live lease held by someone else
-            # Expired or unreadable: tombstone-rename it out of the way.
-            # Exactly one contender's rename succeeds.
-            tombstone = self.leases_dir / f".{fingerprint}.expired.{_unique_token()}"
-            try:
-                os.rename(path, tombstone)
-            except FileNotFoundError:
-                pass  # the holder released, or a rival tombstoned it first
-            else:
-                # Verify the rename swept up what we observed: a rival may
-                # have reclaimed and re-linked a *fresh* claim (or a done
-                # marker) between our read and our rename.  If so, restore
-                # it and back off instead of stealing a live lease.
-                try:
-                    snatched = json.loads(tombstone.read_text())
-                except (OSError, json.JSONDecodeError):
-                    snatched = None
-                if isinstance(snatched, dict) and (
-                    snatched.get("done")
-                    or float(snatched.get("deadline", 0)) >= self.clock()
-                ):
-                    try:
-                        os.link(tombstone, path)
-                    except FileExistsError:
-                        pass  # a third claim already took the slot
-                    tombstone.unlink(missing_ok=True)
-                    self._record_op("claim_conflict")
-                    return False
-                tombstone.unlink(missing_ok=True)
-            try:
-                os.link(temp, path)
+                os.link(shared, path)
                 self._record_op("reclaim")
                 return True
             except FileExistsError:
-                self._record_op("claim_conflict")
-                return False  # a rival claimed between the rename and link
-        finally:
-            temp.unlink(missing_ok=True)
+                pass  # a rival claimed between the rename and link
+        self._record_op("claim_conflict")
+        return False
+
+    def _sweep(self, fingerprint: str, keep: Callable[[Dict[str, object]], object]) -> bool:
+        """Tombstone-rename a lease away unless what the rename took is ``keep``.
+
+        True when the slot was emptied (or already was).  A kept lease is
+        linked back; if a third contender took the slot in between, the
+        kept lease is lost -- its holder's next renew fails and the cell may
+        run twice, which the merge deduplicates.
+        """
+        path = self._lease_path(fingerprint)
+        tombstone = self.leases_dir / f".{fingerprint}.swept.{_unique_token()}"
+        try:
+            os.rename(path, tombstone)
+        except FileNotFoundError:
+            return True  # the holder released, or a rival tombstoned it first
+        try:
+            swept = parse_json_object(tombstone.read_bytes())
+        except OSError:
+            swept = None
+        restore = swept is not None and bool(keep(swept))
+        if restore:
+            try:
+                os.link(tombstone, path)
+            except FileExistsError:
+                pass  # a third claim already took the slot
+        tombstone.unlink(missing_ok=True)
+        return not restore
 
     def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
         try:
@@ -169,26 +183,36 @@ class FileBackend(GridBackend):
         if not _renewable(self.read_lease(fingerprint), worker_id):
             self._record_op("renew_lost")
             return False
-        temp = self._write_claim(fingerprint, worker_id, ttl_s)
+        # A fresh file, not an in-place write: the old inode may back
+        # batch-mates' leases too.
+        temp = self._write_shared(worker_id, self._claim_document(worker_id, ttl_s))
         os.replace(temp, self._lease_path(fingerprint))
         self._record_op("renew")
         return True
 
-    def mark_done(self, fingerprint: str, worker_id: str) -> None:
-        temp = self._write_temp(fingerprint, worker_id, {
-            "fingerprint": fingerprint,
-            "worker": worker_id,
-            "done": True,
-        })
-        os.replace(temp, self._lease_path(fingerprint))
-        self._record_op("mark_done")
+    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
+        if not _batch(fingerprints):
+            return
+        shared = self._write_shared(worker_id, {"worker": worker_id, "done": True})
+        try:
+            for fingerprint in fingerprints:
+                # link + rename: link(2) cannot replace an existing lease,
+                # rename(2) replaces it atomically.
+                temp = shared.with_name(f".{fingerprint}{shared.name}")
+                os.link(shared, temp)
+                os.replace(temp, self._lease_path(fingerprint))
+                self._record_op("mark_done")
+        finally:
+            shared.unlink(missing_ok=True)
 
     def release(self, fingerprint: str, worker_id: str) -> None:
         holder = self.read_lease(fingerprint)
         if holder is None or holder.get("worker") != worker_id:
             return
-        self._lease_path(fingerprint).unlink(missing_ok=True)
-        self._record_op("release")
+        # Not a plain unlink: a rival may reclaim the lease after our read,
+        # so the sweep puts back whatever is not ours.
+        if self._sweep(fingerprint, lambda swept: swept.get("worker") != worker_id):
+            self._record_op("release")
 
     def active(self) -> Dict[str, Dict[str, object]]:
         now = self.clock()
@@ -203,7 +227,7 @@ class FileBackend(GridBackend):
             if not isinstance(document, dict):
                 continue
             if float(document.get("deadline", 0)) >= now:
-                leases[str(document.get("fingerprint", path.stem))] = document
+                leases[path.stem] = document
         return leases
 
     # -- result records ------------------------------------------------------
@@ -220,11 +244,9 @@ class FileBackend(GridBackend):
             self.results_dir / f"shard-{shard:04d}.{_safe_worker_id(worker_id)}.jsonl"
         )
 
-    def append_records(
-        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
-    ) -> None:
-        self.shard_log(shard, worker_id).extend(documents)
-        self._record_append(len(documents))
+    def append_records(self, shard: int, worker_id: str, lines: Sequence[str]) -> None:
+        self.shard_log(shard, worker_id).extend(_batch(lines))
+        self._record_append(len(lines))
 
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:
         if not self.results_dir.is_dir():

@@ -7,10 +7,10 @@ permanence -- but at memory speed and with zero filesystem footprint.
 
 State lives in the backend *instance*: workers must share the object (or
 fetch the same named instance from :func:`memory_backend`, which is what
-``--backend memory`` does within one CLI process).  Records round-trip
-through ``json.dumps``/``json.loads`` so anything a worker appends is
-guaranteed JSON-serializable and reads back bit-identical to what a JSONL
-log would have returned -- the merge-equality goldens hold by construction.
+``--backend memory`` does within one CLI process).  Records are kept as
+the encoded lines a worker appends and parsed on read, so they read back
+bit-identical to what a JSONL log would have returned -- the
+merge-equality goldens hold by construction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import threading
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..results import parse_json_object
-from .base import GridBackend, _renewable, _wall_clock
+from .base import GridBackend, _batch, _renewable, _wall_clock
 
 
 class MemoryBackend(GridBackend):
@@ -47,25 +47,31 @@ class MemoryBackend(GridBackend):
         document = json.loads(raw)
         return document if isinstance(document, dict) else None
 
-    def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
+    def claim_many(
+        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
+    ) -> List[bool]:
         with self._lock:
-            holder = self._holder(fingerprint)
-            if holder is not None:
-                if holder.get("done"):
-                    self._record_op("claim_conflict")
-                    return False  # finished and logged; never re-claim
-                if float(holder.get("deadline", 0)) >= self.clock():
-                    self._record_op("claim_conflict")
-                    return False  # live lease held by someone else
-            # Expired, unreadable, or absent: the lock makes the
-            # read-check-write atomic, so exactly one contender wins.
-            self._leases[fingerprint] = json.dumps({
-                "fingerprint": fingerprint,
-                "worker": worker_id,
-                "deadline": self.clock() + ttl_s,
-            })
-            self._record_op("reclaim" if holder is not None else "claim")
-            return True
+            return [self._claim(fingerprint, worker_id, ttl_s)
+                    for fingerprint in _batch(fingerprints)]
+
+    def _claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
+        holder = self._holder(fingerprint)
+        if holder is not None:
+            if holder.get("done"):
+                self._record_op("claim_conflict")
+                return False  # finished and logged; never re-claim
+            if float(holder.get("deadline", 0)) >= self.clock():
+                self._record_op("claim_conflict")
+                return False  # live lease held by someone else
+        # Expired, unreadable, or absent: the caller holds the lock, so the
+        # read-check-write is atomic and exactly one contender wins.
+        self._leases[fingerprint] = json.dumps({
+            "fingerprint": fingerprint,
+            "worker": worker_id,
+            "deadline": self.clock() + ttl_s,
+        })
+        self._record_op("reclaim" if holder is not None else "claim")
+        return True
 
     def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
         with self._lock:
@@ -84,14 +90,15 @@ class MemoryBackend(GridBackend):
             self._record_op("renew")
             return True
 
-    def mark_done(self, fingerprint: str, worker_id: str) -> None:
+    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
         with self._lock:
-            self._leases[fingerprint] = json.dumps({
-                "fingerprint": fingerprint,
-                "worker": worker_id,
-                "done": True,
-            })
-            self._record_op("mark_done")
+            for fingerprint in _batch(fingerprints):
+                self._leases[fingerprint] = json.dumps({
+                    "fingerprint": fingerprint,
+                    "worker": worker_id,
+                    "done": True,
+                })
+                self._record_op("mark_done")
 
     def release(self, fingerprint: str, worker_id: str) -> None:
         with self._lock:
@@ -114,12 +121,9 @@ class MemoryBackend(GridBackend):
         return leases
 
     # -- result records ------------------------------------------------------
-    def append_records(
-        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
-    ) -> None:
-        lines = [json.dumps(document, sort_keys=True) for document in documents]
+    def append_records(self, shard: int, worker_id: str, lines: Sequence[str]) -> None:
         with self._lock:
-            self._records.setdefault(int(shard), []).extend(lines)
+            self._records.setdefault(int(shard), []).extend(_batch(lines))
         self._record_append(len(lines))
 
     def iter_records(self, shard: int) -> Iterator[Dict[str, object]]:

@@ -31,7 +31,7 @@ import threading
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..results import parse_json_object
-from .base import GridBackend, _renewable, _safe_worker_id, _wall_clock
+from .base import GridBackend, _batch, _renewable, _safe_worker_id, _wall_clock
 
 
 class LocalObjectStore:
@@ -127,7 +127,14 @@ class ObjectStoreBackend(GridBackend):
             "deadline": self.clock() + ttl_s,
         })
 
-    def claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
+    def claim_many(
+        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
+    ) -> List[bool]:
+        # One conditional put per cell: the store has no batch precondition.
+        return [self._claim(fingerprint, worker_id, ttl_s)
+                for fingerprint in _batch(fingerprints)]
+
+    def _claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
         key = self._lease_key(fingerprint)
         current = self.store.get(key)
         if current is None:
@@ -180,15 +187,16 @@ class ObjectStoreBackend(GridBackend):
         self._record_op("renew" if renewed else "renew_lost")
         return renewed
 
-    def mark_done(self, fingerprint: str, worker_id: str) -> None:
+    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
         # Unconditional, like the file backend's replace: even if the lease
         # was reclaimed from us mid-cell, the cell *is* done and logged.
-        self.store.put(self._lease_key(fingerprint), json.dumps({
-            "fingerprint": fingerprint,
-            "worker": worker_id,
-            "done": True,
-        }))
-        self._record_op("mark_done")
+        for fingerprint in _batch(fingerprints):
+            self.store.put(self._lease_key(fingerprint), json.dumps({
+                "fingerprint": fingerprint,
+                "worker": worker_id,
+                "done": True,
+            }))
+            self._record_op("mark_done")
 
     def release(self, fingerprint: str, worker_id: str) -> None:
         key = self._lease_key(fingerprint)
@@ -217,13 +225,10 @@ class ObjectStoreBackend(GridBackend):
         return leases
 
     # -- result records ------------------------------------------------------
-    def append_records(
-        self, shard: int, worker_id: str, documents: Sequence[Dict[str, object]]
-    ) -> None:
+    def append_records(self, shard: int, worker_id: str, lines: Sequence[str]) -> None:
         # One immutable object per record: each put is durable on its own.
         safe_worker = _safe_worker_id(worker_id)
-        for document in documents:
-            body = json.dumps(document, sort_keys=True)
+        for body in _batch(lines):
             while True:
                 with self._sequence_lock:
                     self._sequence += 1

@@ -45,6 +45,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from time import perf_counter
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -56,8 +57,8 @@ from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
 from .results import (
-    DECODE_ERRORS, parse_json_object, result_from_columns, result_from_dict, result_to_columns,
-    result_to_dict,
+    DECODE_ERRORS, encode_document, parse_json_object, result_from_columns, result_from_dict,
+    result_to_columns, result_to_dict,
 )
 from .workload import WorkloadSpec
 
@@ -422,17 +423,21 @@ def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     return result_to_dict(result)
 
 
-def _execute_job_timed(payload: Dict[str, object]) -> Dict[str, object]:
+def _execute_job_timed(payload: Dict[str, object], encode: bool = False) -> Dict[str, object]:
     """Worker entry point with cost accounting: result document + wall time.
 
     The grid logs each cell's observed wall cost (``elapsed_s``) next to its
     result so :func:`repro.faas.grid.autoscale_hint` can size worker fleets
     from real medians.  Monotonic-timer durations are measurement, not
     simulation state -- they never reach fingerprints or result documents.
+    ``encode`` returns :func:`encode_document` text, encoded after the timer
+    stops, so ``elapsed_s`` is the cell alone.
     """
     start = perf_counter()
     document = _execute_job(payload)
-    return {"document": document, "elapsed_s": perf_counter() - start}
+    elapsed_s = perf_counter() - start
+    return {"document": encode_document(document) if encode else document,
+            "elapsed_s": elapsed_s}
 
 
 #: Wall-clock budget one chunk task aims for.  Small enough that progress
@@ -443,7 +448,9 @@ CHUNK_TARGET_S = 0.2
 MAX_CHUNK_CELLS = 32
 
 
-def _execute_chunk(payloads: Sequence[Dict[str, object]]) -> List[Dict[str, object]]:
+def _execute_chunk(
+    payloads: Sequence[Dict[str, object]], encode: bool = False
+) -> List[Dict[str, object]]:
     """Worker entry point for a batch of cells: one envelope per payload.
 
     Faults stay per-cell: a raising cell contributes an ``{"error": ...}``
@@ -455,7 +462,7 @@ def _execute_chunk(payloads: Sequence[Dict[str, object]]) -> List[Dict[str, obje
     envelopes: List[Dict[str, object]] = []
     for payload in payloads:
         try:
-            envelopes.append(_execute_job_timed(payload))
+            envelopes.append(_execute_job_timed(payload, encode))
         except Exception as exc:  # noqa: BLE001 - isolate per-cell faults
             envelopes.append({"error": f"{type(exc).__name__}: {exc}"})
     return envelopes
@@ -927,12 +934,12 @@ class CampaignError(RuntimeError):
         super().__init__(f"{len(self.failures)} campaign cell(s) failed:\n  {details}")
 
 
+#: A result document, or its :func:`encode_document` text.
+Document = Union[Dict[str, object], str]
 #: A cell :func:`run_cells` executed: job, result document, wall cost.
-Settled = Tuple[CampaignJob, Dict[str, object], float]
+Settled = Tuple[CampaignJob, Document, float]
 #: A cell :func:`drive_cells` delivers: job, fresh document, cached result, wall cost.
-Delivered = Tuple[
-    CampaignJob, Optional[Dict[str, object]], Optional[ExperimentResult], Optional[float]
-]
+Delivered = Tuple[CampaignJob, Optional[Document], Optional[ExperimentResult], Optional[float]]
 
 
 def run_cells(
@@ -942,10 +949,11 @@ def run_cells(
     fail: Callable[[CellFailure], None],
     *,
     max_retries: int = 1,
-    admit: Optional[Callable[[CampaignJob], bool]] = None,
+    admit: Optional[Callable[[List[CampaignJob]], List[bool]]] = None,
     skip: Optional[Callable[[CampaignJob], None]] = None,
     tick: Optional[Callable[[], None]] = None,
     tick_interval_s: Optional[float] = None,
+    encode_documents: bool = False,
 ) -> None:
     """The cell-execution core :func:`drive_cells` runs its cache misses through.
 
@@ -954,14 +962,17 @@ def run_cells(
     document, elapsed_s)`` -- each cell's result plus its observed wall
     cost, measured inside the worker so pool scheduling does not inflate
     it.  A pooled chunk's successes arrive as one list, so a sink can commit
-    them together; a serial attempt settles alone.  A raising cell
+    them together; a serial attempt settles alone.  ``encode_documents``
+    makes each document its :func:`encode_document` text, encoded where the
+    cell ran.  A raising cell
     is retried up to ``max_retries`` times and then reported through ``fail``
     -- one bad cell never aborts the rest of the batch.  The hooks exist for
     the distributed grid path:
 
-    * ``admit`` is consulted once per cell just before its first attempt
-      (lease claiming); returning False routes the cell to ``skip`` instead
-      of executing it.  Retries of an admitted cell are not re-admitted.
+    * ``admit`` gets each chunk's candidates (a serial attempt's alone) just
+      before their first attempt (lease claiming) and returns one verdict
+      per cell; a False routes that cell to ``skip`` instead of executing
+      it.  Retries of an admitted cell are not re-admitted.
     * ``tick`` fires at least every ``tick_interval_s`` seconds while cells
       are in flight on the pool, and between serial attempts (lease
       heartbeat renewal).
@@ -1019,16 +1030,28 @@ def run_cells(
     def settle(job: CampaignJob) -> None:
         remaining.pop(job.fingerprint(), None)
 
-    def attempt(job: CampaignJob, pre_admitted: bool = False,
-                isolated: bool = False) -> None:
-        if not pre_admitted:
-            if admit is not None and not admit(job):
+    def admit_all(candidates: List[CampaignJob]) -> List[CampaignJob]:
+        """The candidates admission lets through; the rest are skipped."""
+        verdicts = admit(candidates) if admit is not None else [True] * len(candidates)
+        chosen: List[CampaignJob] = []
+        for job, verdict in zip(candidates, verdicts):
+            if verdict:
+                admitted.add(job.fingerprint())
+                cells_started.inc()
+                chosen.append(job)
+            else:
                 settle(job)
                 if skip is not None:
                     skip(job)
-                return
-            admitted.add(job.fingerprint())
-            cells_started.inc()
+        return chosen
+
+    timed = partial(_execute_job_timed, encode=True) if encode_documents else _execute_job_timed
+    chunked = partial(_execute_chunk, encode=True) if encode_documents else _execute_chunk
+
+    def attempt(job: CampaignJob, pre_admitted: bool = False,
+                isolated: bool = False) -> None:
+        if not pre_admitted and not admit_all([job]):
+            return
         last: Optional[BaseException] = None
         for _ in range(max_retries + 1):
             if tick is not None:
@@ -1040,11 +1063,9 @@ def run_cells(
                     # retries and becomes a CellFailure instead of taking
                     # this process -- and all undrained results -- with it.
                     with ProcessPoolExecutor(max_workers=1) as solo:
-                        envelope = solo.submit(
-                            _execute_job_timed, job.to_dict()
-                        ).result()
+                        envelope = solo.submit(timed, job.to_dict()).result()
                 else:
-                    envelope = _execute_job_timed(job.to_dict())
+                    envelope = timed(job.to_dict())
             except Exception as exc:  # noqa: BLE001 - isolate per-cell faults
                 last = exc
                 continue
@@ -1097,21 +1118,15 @@ def run_cells(
 
             def refill() -> None:
                 while queue and len(live) < window:
-                    chunk: List[CampaignJob] = []
-                    while queue and len(chunk) < chunk_size():
-                        job = queue.popleft()
-                        if admit is not None and not admit(job):
-                            settle(job)
-                            if skip is not None:
-                                skip(job)
-                            continue
-                        admitted.add(job.fingerprint())
-                        cells_started.inc()
+                    # One admission call per chunk; skipped candidates leave
+                    # the chunk short.
+                    size = min(chunk_size(), len(queue))
+                    chunk = admit_all([queue.popleft() for _ in range(size)])
+                    for job in chunk:
                         attempts[job.fingerprint()] = 1
-                        chunk.append(job)
                     if chunk:
                         payloads = [job.to_dict() for job in chunk]
-                        live[pool.submit(_execute_chunk, payloads)] = chunk
+                        live[pool.submit(chunked, payloads)] = chunk
                 inflight.set(sum(len(chunk) for chunk in live.values()))
 
             def retry_or_fail(job: CampaignJob, error: str) -> None:
@@ -1120,7 +1135,7 @@ def run_cells(
                     attempts[job.fingerprint()] = count + 1
                     # Retries go out as single-cell chunks: the failure may
                     # be cost- or state-dependent, so don't gamble siblings.
-                    live[pool.submit(_execute_chunk, [job.to_dict()])] = [job]
+                    live[pool.submit(chunked, [job.to_dict()])] = [job]
                 else:
                     settle(job)
                     fail(CellFailure(job=job, error=error, attempts=count))
@@ -1203,10 +1218,11 @@ def drive_cells(
     *,
     progress: Optional[Callable[[CampaignJob, bool], None]] = None,
     max_retries: int = 1,
-    admit: Optional[Callable[[CampaignJob], bool]] = None,
+    admit: Optional[Callable[[List[CampaignJob]], List[bool]]] = None,
     skip: Optional[Callable[[CampaignJob], None]] = None,
     tick: Optional[Callable[[], None]] = None,
     tick_interval_s: Optional[float] = None,
+    encode_documents: bool = False,
 ) -> None:
     """The cache driver both :func:`run_campaign` and the grid worker run.
 
@@ -1215,14 +1231,16 @@ def drive_cells(
     cache.  Finished cells go to ``deliver`` as lists of ``(job, document,
     result, elapsed_s)``: a cache hit as its decoded ``result`` alone (the
     cache holds no result document; ``result_to_dict(result)`` rebuilds it),
-    one per list; freshly executed cells as their ``document`` (decoding is
-    the sink's business) and observed wall cost, one list per settled chunk
-    (see :func:`run_cells`).  ``progress(job, from_cache)`` fires for each
-    cell right after its delivery; permanently failed cells
-    go to ``fail``.  ``admit``/``skip``/``tick`` are :func:`run_cells`' grid
-    hooks.  Each served cell counts one cache hit and each admitted cell one
-    cache miss, so a grid worker's skipped (leased elsewhere) cells count as
-    neither.
+    consecutive hits in lists of up to ``MAX_CHUNK_CELLS``; freshly executed
+    cells as their ``document`` (decoding is the sink's business) and
+    observed wall cost, one list per settled chunk (see :func:`run_cells`),
+    as :func:`encode_document` text with ``encode_documents``.
+    ``progress(job, from_cache)`` fires for a hit right after its entry is
+    decoded, and for a fresh cell right after its list is delivered;
+    permanently failed cells go to ``fail``.  ``admit``/``skip``/``tick``
+    are :func:`run_cells`' grid hooks.  Each served cell counts one cache
+    hit and each admitted cell one cache miss, so a grid worker's skipped
+    (leased elsewhere) cells count as neither.
     """
     registry = current_registry()
     cache_hits = registry.counter(
@@ -1234,26 +1252,36 @@ def drive_cells(
     )
     cache_path = Path(cache_dir) if cache_dir is not None else None
     pending: List[CampaignJob] = []
+    hits: List[Delivered] = []
     for job, result in iter_cached_cells(cache_path, jobs):
         if result is None:
             pending.append(job)
-            continue
-        cache_hits.inc()
-        deliver([(job, None, result, None)])
-        if progress is not None:
-            progress(job, True)
+        else:
+            cache_hits.inc()
+            hits.append((job, None, result, None))
+            if progress is not None:
+                progress(job, True)
+        if hits and (result is None or len(hits) == MAX_CHUNK_CELLS):
+            deliver(hits)
+            hits = []
+    if hits:
+        deliver(hits)
 
-    def admitted(job: CampaignJob) -> bool:
-        if admit is not None and not admit(job):
-            return False
-        cache_misses.inc()
-        return True
+    def admitted(batch: List[CampaignJob]) -> List[bool]:
+        verdicts = admit(batch) if admit is not None else [True] * len(batch)
+        if any(verdicts):
+            cache_misses.inc(sum(verdicts))
+        return verdicts
 
     def finish(settled: List[Settled]) -> None:
         # Cache (and report) every cell as soon as its chunk settles, so an
-        # interrupted run keeps the work it already did.
+        # interrupted run keeps the work it already did.  The cache needs
+        # the dict, so with a cache the pool returns dicts, encoded here.
         for job, document, _ in settled:
-            _store_cached(cache_path, job, document)
+            _store_cached(cache_path, job, document)  # type: ignore[arg-type]
+        if encode_documents and cache_path is not None:
+            settled = [(job, encode_document(document), elapsed_s)  # type: ignore[arg-type]
+                       for job, document, elapsed_s in settled]
         deliver([(job, document, None, elapsed_s)
                  for job, document, elapsed_s in settled])
         if progress is not None:
@@ -1264,6 +1292,7 @@ def drive_cells(
         pending, workers, finish, fail,
         max_retries=max_retries, admit=admitted, skip=skip,
         tick=tick, tick_interval_s=tick_interval_s,
+        encode_documents=encode_documents and cache_path is None,
     )
 
 

@@ -52,7 +52,7 @@ import socket
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..observability import current_registry
 from .backends import FileBackend, GridBackend
@@ -69,7 +69,7 @@ from .campaign import (
 )
 from .experiment import ExperimentResult
 from .results import (  # noqa: F401  (ResultLog re-exported)
-    DECODE_ERRORS, ResultLog, result_from_dict, result_to_dict,
+    DECODE_ERRORS, ResultLog, encode_document, record_line, result_from_dict, result_to_dict,
 )
 
 #: Bump when the run-directory layout changes incompatibly.
@@ -161,9 +161,9 @@ class LeaseQueue:
     def clock(self, value: Callable[[], float]) -> None:
         self.backend.clock = value
 
-    def claim(self, fingerprint: str) -> bool:
-        """Try to acquire the lease; True when this worker now holds it."""
-        return self.backend.claim(fingerprint, self.worker_id, self.ttl_s)
+    def claim_many(self, fingerprints: Sequence[str]) -> List[bool]:
+        """Try to acquire each lease; True where this worker now holds it."""
+        return self.backend.claim_many(fingerprints, self.worker_id, self.ttl_s)
 
     def read(self, fingerprint: str) -> Optional[Dict[str, object]]:
         return self.backend.read_lease(fingerprint)
@@ -177,16 +177,16 @@ class LeaseQueue:
         """
         return self.backend.renew(fingerprint, self.worker_id, self.ttl_s)
 
-    def mark_done(self, fingerprint: str) -> None:
-        """Replace the lease with a permanent done marker.
+    def mark_done_many(self, fingerprints: Sequence[str]) -> None:
+        """Replace each lease with a permanent done marker.
 
-        The cell's result is in the logs, so no later claim should ever
+        The cells' results are in the logs, so no later claim should ever
         succeed: a worker whose startup scan predates this completion would
         otherwise find the lease gone, reclaim the cell, and recompute it.
-        The marker is written unconditionally -- even if the lease was
+        The markers are written unconditionally -- even if a lease was
         reclaimed from us mid-cell, the cell *is* done.
         """
-        self.backend.mark_done(fingerprint, self.worker_id)
+        self.backend.mark_done_many(fingerprints, self.worker_id)
 
     def release(self, fingerprint: str) -> None:
         """Drop our lease; a rival's claim (after reclaiming us) is left alone."""
@@ -465,14 +465,15 @@ def run_grid_worker(
     held: Dict[str, float] = {}
     renew_after_s = lease_ttl_s / 6.0
 
-    def admit(job: CampaignJob) -> bool:
-        fingerprint = job.fingerprint()
+    def admit(batch: List[CampaignJob]) -> List[bool]:
+        fingerprints = [job.fingerprint() for job in batch]
         now = leases.clock()
-        if leases.claim(fingerprint):
-            held[fingerprint] = now
-            lease_depth.set(len(held))
-            return True
-        return False
+        won = leases.claim_many(fingerprints)
+        for fingerprint, claimed in zip(fingerprints, won):
+            if claimed:
+                held[fingerprint] = now
+        lease_depth.set(len(held))
+        return won
 
     def skip(job: CampaignJob) -> None:
         report.skipped_leased += 1
@@ -492,40 +493,40 @@ def run_grid_worker(
         lease_depth.set(len(held))
         registry.flush(min_interval_s=1.0)
 
-    def record(job: CampaignJob, fields: Dict[str, object]) -> Tuple[int, Dict[str, object]]:
-        """One settled cell's log record, and the shard it belongs to."""
+    def record(job: CampaignJob, fields: Dict[str, object],
+               result: Optional[str] = None) -> Tuple[int, str]:
+        """One settled cell's encoded log record, and its shard."""
         fingerprint = job.fingerprint()
         job_shard = shard_of(fingerprint, run.shard_count)
-        return job_shard, {
+        return job_shard, record_line({
             "fingerprint": fingerprint, "shard": job_shard, "worker": worker_id,
-            **fields,
-        }
+            "job": job.to_dict(), **fields,
+        }, result)
 
     def deliver(cells: List[Delivered]) -> None:
-        by_shard: Dict[int, List[Dict[str, object]]] = {}
+        by_shard: Dict[int, List[str]] = {}
         for job, document, result, elapsed_s in cells:
-            # Cache-served cells are logged too, so a merge needs only the
-            # logs; their row document is rebuilt from the decoded result.
-            fields: Dict[str, object] = {
-                "from_cache": result is not None, "job": job.to_dict(),
-                "result": document if result is None else result_to_dict(result),
-            }
+            fields: Dict[str, object] = {"from_cache": result is not None}
             if elapsed_s is not None:
                 # Observed wall cost of this cell; autoscale_hint() medians
                 # these to size the fleet.  Merge/scan ignore unknown keys.
                 fields["elapsed_s"] = round(float(elapsed_s), 6)
-            job_shard, entry = record(job, fields)
-            by_shard.setdefault(job_shard, []).append(entry)
+            # A fresh document arrives already encoded (encode_documents
+            # below); a cache hit is logged too, so a merge needs only the
+            # logs, its row document rebuilt from the decoded result.
+            text = encode_document(result_to_dict(result)) if document is None else document
+            job_shard, line = record(job, fields, text)  # type: ignore[arg-type]
+            by_shard.setdefault(job_shard, []).append(line)
         # Group commit: every record of the batch is durable before any of
         # its done markers is written, so a marker never names an unlogged
         # cell, and a crash before the commit loses only leases that expire.
-        for job_shard, entries in by_shard.items():
-            run.backend.append_records(job_shard, worker_id, entries)
+        for job_shard, lines in by_shard.items():
+            run.backend.append_records(job_shard, worker_id, lines)
+        # Done markers instead of plain releases: a concurrent worker whose
+        # startup scan predates this completion must not re-claim the cells.
+        # Heartbeats continue until the markers are written.
+        leases.mark_done_many([job.fingerprint() for job, _, _, _ in cells])
         for job, _, result, _ in cells:
-            # A done marker instead of a plain release: a concurrent worker
-            # whose startup scan predates this completion must not re-claim
-            # the cell.  Heartbeats continue until the marker is written.
-            leases.mark_done(job.fingerprint())
             held.pop(job.fingerprint(), None)
             if result is None:
                 report.executed += 1
@@ -534,13 +535,12 @@ def run_grid_worker(
         lease_depth.set(len(held))
 
     def fail(failure: CellFailure) -> None:
-        job_shard, entry = record(failure.job, {
-            "job": failure.job.to_dict(),
+        job_shard, line = record(failure.job, {
             "error": failure.error,
             "attempts": failure.attempts,
         })
         # The failure is logged before the lease is given up.
-        run.backend.append_records(job_shard, worker_id, [entry])
+        run.backend.append_records(job_shard, worker_id, [line])
         leases.release(failure.job.fingerprint())
         held.pop(failure.job.fingerprint(), None)
         lease_depth.set(len(held))
@@ -552,6 +552,7 @@ def run_grid_worker(
         progress=progress, max_retries=max_retries,
         admit=admit, skip=skip,
         tick=tick, tick_interval_s=max(renew_after_s, 0.05),
+        encode_documents=True,
     )
     return report
 

@@ -428,6 +428,26 @@ def parse_json_object(raw: Union[str, bytes]) -> Optional[Dict[str, object]]:
     return document if isinstance(document, dict) else None
 
 
+def encode_document(document: Dict[str, object]) -> str:
+    """The canonical text of a document: key-sorted JSON, as logs store it."""
+    return json.dumps(document, sort_keys=True)
+
+
+def record_line(fields: Dict[str, object], result: Optional[str] = None) -> str:
+    """One grid log record: ``fields`` plus an already encoded ``result``.
+
+    Equal to ``encode_document({**fields, "result": json.loads(result)})``
+    when ``result`` is ``encode_document`` text, but the (large) result is
+    spliced in, not decoded and encoded again.
+    """
+    if result is None:
+        return encode_document(fields)
+    head = encode_document({k: v for k, v in fields.items() if k < "result"})[1:-1]
+    tail = encode_document({k: v for k, v in fields.items() if k > "result"})[1:-1]
+    middle = '"result": ' + result
+    return "{" + ", ".join(part for part in (head, middle, tail) if part) + "}"
+
+
 def write_in_directory(directory: Path, write: Callable[[], Any]) -> Any:
     """Run ``write``; if ``directory`` is missing, create it and retry once.
 
@@ -463,14 +483,14 @@ class ResultLog:
     def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
 
-    def extend(self, documents: Sequence[Dict[str, object]]) -> None:
-        """Durably append ``documents``: one write and one ``fsync``."""
-        lines = [json.dumps(document, sort_keys=True) for document in documents]
+    def extend(self, lines: Sequence[str]) -> None:
+        """Durably append encoded records (:func:`record_line`): one write
+        and one ``fsync``."""
         if not lines:
             return
         # json.dumps never emits a raw newline: each record stays one line.
         if any("\n" in line for line in lines):  # pragma: no cover
-            raise ValueError("result-log documents must serialise to one line")
+            raise ValueError("result-log records must be one line each")
         payload = ("\n".join(lines) + "\n").encode("utf-8")
         with write_in_directory(self.path.parent, lambda: open(self.path, "a+b")) as handle:
             # A worker killed mid-append leaves a truncated line with no

@@ -225,8 +225,8 @@ class TestR008BackendProtocol:
         )
         # MismatchedBackend: two renamed/dropped-parameter signatures.
         assert any(
-            "'MismatchedBackend' method claim has signature "
-            "(self, fp, who, lease_seconds)" in m
+            "'MismatchedBackend' method claim_many has signature "
+            "(self, fps, who, lease_seconds)" in m
             for m in messages
         )
         assert any(

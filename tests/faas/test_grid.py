@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -25,7 +26,9 @@ from repro.faas import (
     shard_of,
 )
 from repro.faas import campaign, grid
-from repro.faas.results import result_from_columns, result_from_dict
+from repro.faas.results import (
+    encode_document, record_line, result_from_columns, result_from_dict,
+)
 from repro.observability import MetricsRegistry, use_registry
 
 
@@ -39,6 +42,17 @@ def tiny_spec(**overrides) -> CampaignSpec:
     )
     params.update(overrides)
     return CampaignSpec(**params)
+
+
+def claim(leases: LeaseQueue, fingerprint: str) -> bool:
+    """One fingerprint through the batch claim."""
+    [won] = leases.claim_many([fingerprint])
+    return won
+
+
+def lines(*documents) -> list:
+    """Records as the result log takes them: encoded lines."""
+    return [encode_document(document) for document in documents]
 
 
 class TestShardPlanner:
@@ -136,28 +150,28 @@ class TestLeaseQueue:
     def test_claim_is_exclusive_until_released(self, tmp_path):
         ours = LeaseQueue(FileBackend(tmp_path), worker_id="a")
         theirs = LeaseQueue(FileBackend(tmp_path), worker_id="b")
-        assert ours.claim(self.FP)
-        assert not theirs.claim(self.FP)
+        assert claim(ours, self.FP)
+        assert not claim(theirs, self.FP)
         assert self.FP in theirs.active()
         ours.release(self.FP)
-        assert theirs.claim(self.FP)
+        assert claim(theirs, self.FP)
 
     def test_expired_lease_is_reclaimed(self, tmp_path):
         """Acceptance: a crashed worker's cells come back after the TTL."""
         clock = FakeClock()
         crashed = LeaseQueue(FileBackend(tmp_path), worker_id="crashed", ttl_s=30.0, clock=clock)
         rescuer = LeaseQueue(FileBackend(tmp_path), worker_id="rescuer", ttl_s=60.0, clock=clock)
-        assert crashed.claim(self.FP)
-        assert not rescuer.claim(self.FP)
+        assert claim(crashed, self.FP)
+        assert not claim(rescuer, self.FP)
         clock.advance(31.0)
         assert rescuer.active() == {}
-        assert rescuer.claim(self.FP)
+        assert claim(rescuer, self.FP)
         assert rescuer.read(self.FP)["worker"] == "rescuer"
 
     def test_renew_extends_the_deadline(self, tmp_path):
         clock = FakeClock()
         queue = LeaseQueue(FileBackend(tmp_path), worker_id="a", ttl_s=30.0, clock=clock)
-        assert queue.claim(self.FP)
+        assert claim(queue, self.FP)
         first = queue.read(self.FP)["deadline"]
         clock.advance(5.0)
         queue.renew(self.FP)
@@ -167,7 +181,7 @@ class TestLeaseQueue:
         queue = LeaseQueue(FileBackend(tmp_path), worker_id="a")
         queue.backend.leases_dir.mkdir(parents=True)
         (queue.backend.leases_dir / f"{self.FP}.lease").write_text("{ not json")
-        assert queue.claim(self.FP)
+        assert claim(queue, self.FP)
 
     def test_stale_worker_cannot_renew_or_release_a_reclaimed_lease(self, tmp_path):
         """A worker that stalled past its TTL must not clobber (or delete)
@@ -175,9 +189,9 @@ class TestLeaseQueue:
         clock = FakeClock()
         stale = LeaseQueue(FileBackend(tmp_path), worker_id="stale", ttl_s=30.0, clock=clock)
         rival = LeaseQueue(FileBackend(tmp_path), worker_id="rival", ttl_s=600.0, clock=clock)
-        assert stale.claim(self.FP)
+        assert claim(stale, self.FP)
         clock.advance(31.0)
-        assert rival.claim(self.FP)
+        assert claim(rival, self.FP)
         assert stale.renew(self.FP) is False
         assert rival.read(self.FP)["worker"] == "rival"
         stale.release(self.FP)
@@ -189,16 +203,16 @@ class TestLeaseQueue:
         deadline, so it must not fall through to the expired-reclaim path."""
         clock = FakeClock()
         finisher = LeaseQueue(FileBackend(tmp_path), worker_id="finisher", ttl_s=1.0, clock=clock)
-        finisher.mark_done(self.FP)
+        finisher.mark_done_many([self.FP])
         clock.advance(3600.0)  # long past any TTL
         late = LeaseQueue(FileBackend(tmp_path), worker_id="late", ttl_s=60.0, clock=clock)
-        assert late.claim(self.FP) is False
+        assert claim(late, self.FP) is False
         assert late.active() == {}  # not a live lease either
 
     def test_no_temp_files_left_behind(self, tmp_path):
         queue = LeaseQueue(FileBackend(tmp_path), worker_id="a")
-        queue.claim(self.FP)
-        LeaseQueue(FileBackend(tmp_path), worker_id="b").claim(self.FP)
+        claim(queue, self.FP)
+        claim(LeaseQueue(FileBackend(tmp_path), worker_id="b"), self.FP)
         leases_dir = queue.backend.leases_dir
         assert list(leases_dir.glob("*.lease"))  # the directory the claims used
         queue.release(self.FP)
@@ -250,7 +264,7 @@ class TestLeaseHeartbeat:
         run, hooks = self.hooks(clock)
         assert hooks["tick_interval_s"] == self.TTL / 6
         job = hooks["pending"][0]
-        assert hooks["admit"](job)
+        assert hooks["admit"]([job]) == [True]
         claimed = run.backend.read_lease(job.fingerprint())["deadline"]
         with use_registry(MetricsRegistry()) as registry:
             hooks["tick"]()
@@ -268,9 +282,9 @@ class TestLeaseHeartbeat:
         clock = FakeClock()
         run, hooks = self.hooks(clock)
         job = hooks["pending"][0]
-        assert hooks["admit"](job)
+        assert hooks["admit"]([job]) == [True]
         clock.advance(self.TTL + 1.0)  # the worker stalled past its TTL
-        assert run.backend.claim(job.fingerprint(), "rival", 600.0)
+        assert run.backend.claim_many([job.fingerprint()], "rival", 600.0) == [True]
         with use_registry(MetricsRegistry()) as registry:
             hooks["tick"]()  # renew lost: the lease is dropped
             for _ in range(3):
@@ -301,7 +315,7 @@ class TestLeaseHeartbeat:
             clock.advance(fraction * hooks["tick_interval_s"])
             for job, when in zip(hooks["pending"], admit_at):
                 if when == step:
-                    assert hooks["admit"](job)
+                    assert hooks["admit"]([job]) == [True]
             hooks["tick"]()
             for fingerprint, lease in run.backend.active().items():
                 written = lease["deadline"] - self.TTL
@@ -318,8 +332,8 @@ class TestLeaseHeartbeat:
 class TestResultLog:
     def test_append_and_iterate(self, tmp_path):
         log = ResultLog(tmp_path / "log.jsonl")
-        log.extend([{"fingerprint": "a", "result": {}}])
-        log.extend([{"fingerprint": "b", "result": {}}])
+        log.extend(lines({"fingerprint": "a", "result": {}}))
+        log.extend(lines({"fingerprint": "b", "result": {}}))
         assert [record["fingerprint"] for record in log] == ["a", "b"]
         assert len(log) == 2
 
@@ -327,12 +341,12 @@ class TestResultLog:
         """A worker killed mid-append must not poison the log."""
         path = tmp_path / "log.jsonl"
         log = ResultLog(path)
-        log.extend([{"fingerprint": "a"}])
+        log.extend(lines({"fingerprint": "a"}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"fingerprint": "b", "resu')  # no newline: killed here
         assert [record["fingerprint"] for record in log] == ["a"]
         # ...and a retry's batch after the truncated line still parses whole.
-        log.extend([{"fingerprint": "c"}, {"fingerprint": "d"}])
+        log.extend(lines({"fingerprint": "c"}, {"fingerprint": "d"}))
         log.extend([])
         assert [record["fingerprint"] for record in log] == ["a", "c", "d"]
 
@@ -344,11 +358,40 @@ class TestResultLog:
         like any other: skipped, not a RecursionError for the merge."""
         path = tmp_path / "log.jsonl"
         log = ResultLog(path)
-        log.extend([{"fingerprint": "a"}])
+        log.extend(lines({"fingerprint": "a"}))
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("[" * 100_000 + "\n")
-        log.extend([{"fingerprint": "b"}])
+        log.extend(lines({"fingerprint": "b"}))
         assert [record["fingerprint"] for record in log] == ["a", "b"]
+
+
+#: JSON values with the encoder's hard cases: non-ASCII and escaped text,
+#: floats that print with exponents, integers beyond 64 bits.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text()
+    | st.integers() | st.integers(min_value=2**63, max_value=2**200)
+    | st.floats(allow_nan=False)
+    | st.sampled_from([1e-7, 2.5e-300, 1.5e300, 5e-324, -0.0, 1e16, 12345678901234567890.0]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestRecordLine:
+    @given(
+        fields=st.dictionaries(
+            st.text(max_size=8).filter(lambda key: key != "result"), JSON_VALUES,
+            max_size=6),
+        result=st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_a_spliced_line_equals_the_whole_record_encoded(self, fields, result):
+        """The oracle is the encoder the logs used before splicing: one
+        ``json.dumps(record, sort_keys=True)`` of the whole record."""
+        oracle = json.dumps({**fields, "result": result}, sort_keys=True)
+        assert record_line(fields, encode_document(result)) == oracle
+        assert record_line(fields) == json.dumps(fields, sort_keys=True)
 
 
 
@@ -380,10 +423,11 @@ class TestGroupCommit:
                        for record in ResultLog(log)}
             events.append(("fsync", durable))
 
-        def lease_op(kind, real):
-            def spied(self, fingerprint, worker_id):
-                events.append((kind, fingerprint))
-                return real(self, fingerprint, worker_id)
+        def lease_op(kind, real, batch=False):
+            def spied(self, fingerprints, worker_id):
+                for fingerprint in (fingerprints if batch else [fingerprints]):
+                    events.append((kind, fingerprint))
+                return real(self, fingerprints, worker_id)
             return spied
 
         def counting_run_cells(pending, workers, finish, fail, **hooks):
@@ -393,8 +437,8 @@ class TestGroupCommit:
             return real_run_cells(pending, workers, counted, fail, **hooks)
 
         monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(FileBackend, "mark_done",
-                            lease_op("done", FileBackend.mark_done))
+        monkeypatch.setattr(FileBackend, "mark_done_many",
+                            lease_op("done", FileBackend.mark_done_many, batch=True))
         monkeypatch.setattr(FileBackend, "release",
                             lease_op("release", FileBackend.release))
         monkeypatch.setattr(campaign, "run_cells", counting_run_cells)
@@ -422,6 +466,51 @@ class TestGroupCommit:
         assert fsyncs <= 32
         assert len(merge_run(run).cells) == 192
 
+    def test_a_pooled_sweep_writes_lease_files_per_chunk_not_per_cell(
+            self, tmp_path, monkeypatch):
+        """One shared claim file per admitted chunk and one shared done
+        file per committed chunk; every other lease is a hard link."""
+        run = GridRun.create(SWEEP, tmp_path / "run", shard_count=2)
+        _, batches = self.spy(monkeypatch, run)
+        written, real_write_text = [], pathlib.Path.write_text
+
+        def write_text(path, *args, **kwargs):
+            if path.parent == run.backend.leases_dir:
+                written.append(path.name)
+            return real_write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "write_text", write_text)
+        with use_registry(MetricsRegistry()) as registry:
+            report = run_grid_worker(run, workers=2, worker_id="w")
+        assert report.executed == sum(batches) == 192 and report.failed == 0
+        assert len(written) <= 2 * len(batches) < 192
+        for op in ("claim", "mark_done"):
+            assert TestLeaseHeartbeat.backend_ops(registry, "file", op) == 192
+        assert len(list(run.backend.leases_dir.glob("*.lease"))) == 192
+        assert list(run.backend.leases_dir.glob(".*")) == []
+
+    def test_cache_served_cells_commit_in_chunks(self, tmp_path, monkeypatch):
+        """Consecutive cache hits are delivered together -- one commit --
+        while progress still fires once per cell, in expansion order."""
+        spec = tiny_spec(seeds=tuple(range(8)))
+        cache = tmp_path / "cache"
+        run_campaign(spec, workers=1, cache_dir=cache)
+        run = GridRun.create(spec, tmp_path / "run", shard_count=1)
+        fsyncs, progressed, real_fsync = [], [], os.fsync
+
+        def fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        report = run_grid_worker(
+            run, workers=1, cache_dir=cache,
+            progress=lambda job, cached: progressed.append((job.fingerprint(), cached)))
+        assert report.cache_hits == 16 and report.executed == 0
+        assert len(fsyncs) == 1
+        assert progressed == [(job.fingerprint(), True) for job in spec.expand()]
+        assert len(merge_run(run).cells) == 16
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_failure_record_is_committed_before_its_release(
             self, tmp_path, monkeypatch, workers):
@@ -435,15 +524,15 @@ class TestGroupCommit:
 
     def test_deleted_directories_heal(self, tmp_path):
         backend = FileBackend(tmp_path / "run")
-        backend.append_records(0, "w", [{"fingerprint": "a" * 64}])
-        assert backend.claim("a" * 64, "w", 30.0)
+        backend.append_records(0, "w", [encode_document({"fingerprint": "a" * 64})])
+        assert backend.claim_many(["a" * 64], "w", 30.0) == [True]
         for directory in (backend.leases_dir, backend.results_dir):
             for path in directory.iterdir():
                 path.unlink()
             directory.rmdir()
-        assert backend.claim("b" * 64, "w", 30.0)
-        backend.mark_done("b" * 64, "w")
-        backend.append_records(0, "w", [{"fingerprint": "b" * 64}])
+        assert backend.claim_many(["b" * 64], "w", 30.0) == [True]
+        backend.mark_done_many(["b" * 64], "w")
+        backend.append_records(0, "w", [encode_document({"fingerprint": "b" * 64})])
         assert backend.read_lease("b" * 64)["done"] is True
         assert [record["fingerprint"] for record in backend.iter_records(0)] == ["b" * 64]
 
@@ -539,7 +628,7 @@ class TestGridExecution:
         victim = plan_shards(spec, 2)[1][0]
         crashed = LeaseQueue(run.backend, worker_id="crashed", ttl_s=30.0,
                              clock=clock)
-        assert crashed.claim(victim.fingerprint())
+        assert claim(crashed, victim.fingerprint())
         clock.advance(31.0)
         resumed = run_grid_worker(run, workers=1, lease_ttl_s=30.0,
                                   clock=clock)
@@ -552,7 +641,7 @@ class TestGridExecution:
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         victim = spec.expand()[0]
         holder = LeaseQueue(run.backend, worker_id="other-host", ttl_s=300.0)
-        assert holder.claim(victim.fingerprint())
+        assert claim(holder, victim.fingerprint())
         report = run_grid_worker(run, workers=1)
         assert report.skipped_leased == 1
         assert report.executed == 3
@@ -691,7 +780,8 @@ class TestGridExecution:
         # host-b finds everything done, but a cache-served rerun of host-b
         # over a fresh cell set would write its own segment; force one record
         # through the API to check the naming.
-        run.backend.append_records(0, "host-b", [{"fingerprint": "x", "shard": 0}])
+        run.backend.append_records(
+            0, "host-b", [encode_document({"fingerprint": "x", "shard": 0})])
         segments = sorted(p.name for p in (run.run_dir / "results").iterdir())
         assert segments == ["shard-0000.host-a.jsonl", "shard-0000.host-b.jsonl"]
         # Readers fold every segment.
@@ -720,7 +810,7 @@ class TestGridExecution:
         run_grid_worker(run, workers=1, worker_id="first")
         fingerprint = spec.expand()[0].fingerprint()
         stale = LeaseQueue(run.backend, worker_id="stale-scan", ttl_s=60.0)
-        assert stale.claim(fingerprint) is False
+        assert claim(stale, fingerprint) is False
 
     def test_unmergeable_result_record_does_not_mark_the_cell_done(self, tmp_path):
         """Regression: a record whose result payload cannot merge must leave
@@ -728,10 +818,10 @@ class TestGridExecution:
         spec = tiny_spec(platforms=("aws",), seeds=(0,))
         run = GridRun.create(spec, tmp_path / "run", shard_count=1)
         job = spec.expand()[0]
-        run.backend.append_records(0, "bad-writer", [{
+        run.backend.append_records(0, "bad-writer", [encode_document({
             "fingerprint": job.fingerprint(), "shard": 0,
             "result": "not a result document",
-        }])
+        })])
         assert grid_status(run)[0].pending == 1
         report = run_grid_worker(run, workers=1)
         assert report.executed == 1
@@ -756,7 +846,8 @@ class TestMergeProperties:
         clone_dir = tmp_path / "clone"
         clone = GridRun.create(source.spec, clone_dir, shard_count=source.shard_count)
         for record in records:
-            clone.backend.append_records(int(record["shard"]), "rewrite", [record])
+            clone.backend.append_records(
+                int(record["shard"]), "rewrite", [encode_document(record)])
         return clone
 
     def all_records(self, run: GridRun):
@@ -807,7 +898,7 @@ class TestMergeProperties:
             {"fingerprint": records[0]["fingerprint"], "shard": 0},  # no result
         ]
         for record in noise:
-            clone.backend.append_records(0, "noise", [record])
+            clone.backend.append_records(0, "noise", [encode_document(record)])
         log_path = clone.backend.results_dir / "shard-0000.noise.jsonl"
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write("garbage line\n")

@@ -10,6 +10,8 @@ by advancing time, never by sleeping.
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -30,6 +32,7 @@ from repro.faas import (
     run_campaign,
     run_grid_worker,
 )
+from repro.faas.results import encode_document
 from repro.observability import MetricsRegistry, use_registry
 
 FP_A = "a" * 64
@@ -50,6 +53,17 @@ def tiny_spec(**overrides) -> CampaignSpec:
 
 def canonical(result) -> str:
     return json.dumps(result.to_dict(), sort_keys=True)
+
+
+def claim(backend: GridBackend, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
+    """One fingerprint through the batch claim."""
+    [won] = backend.claim_many([fingerprint], worker_id, ttl_s)
+    return won
+
+
+def lines(*documents) -> list:
+    """Records as ``append_records`` takes them: encoded lines."""
+    return [encode_document(document) for document in documents]
 
 
 class WorkerCrash(BaseException):
@@ -86,38 +100,38 @@ def backend(request, tmp_path) -> GridBackend:
 
 class TestLeaseInvariants:
     def test_claim_is_exclusive_until_expiry(self, backend):
-        assert backend.claim(FP_A, "a", 30.0)
-        assert not backend.claim(FP_A, "b", 30.0)
+        assert claim(backend, FP_A, "a", 30.0)
+        assert not claim(backend, FP_A, "b", 30.0)
         backend.clock.advance(29.0)
-        assert not backend.claim(FP_A, "b", 30.0)  # still live
+        assert not claim(backend, FP_A, "b", 30.0)  # still live
         backend.clock.advance(2.0)
-        assert backend.claim(FP_A, "b", 30.0)  # expired: reclaimable
+        assert claim(backend, FP_A, "b", 30.0)  # expired: reclaimable
 
     def test_expired_reclaim_has_exactly_one_winner(self, backend):
-        assert backend.claim(FP_A, "crashed", 30.0)
+        assert claim(backend, FP_A, "crashed", 30.0)
         backend.clock.advance(31.0)
-        winners = [backend.claim(FP_A, rival, 300.0) for rival in ("r1", "r2")]
+        winners = [claim(backend, FP_A, rival, 300.0) for rival in ("r1", "r2")]
         assert winners == [True, False]  # r1's fresh lease fences r2 out
 
     def test_renew_is_fenced_after_reclaim(self, backend):
-        assert backend.claim(FP_A, "slow", 30.0)
+        assert claim(backend, FP_A, "slow", 30.0)
         assert backend.renew(FP_A, "slow", 30.0)  # ours, still live
         backend.clock.advance(31.0)
-        assert backend.claim(FP_A, "rival", 300.0)
+        assert claim(backend, FP_A, "rival", 300.0)
         # The stalled worker must not clobber the reclaimer's live claim.
         assert not backend.renew(FP_A, "slow", 30.0)
         assert backend.read_lease(FP_A)["worker"] == "rival"
 
     def test_done_markers_are_permanent(self, backend):
-        assert backend.claim(FP_A, "a", 30.0)
-        backend.mark_done(FP_A, "a")
-        assert not backend.claim(FP_A, "b", 30.0)
+        assert claim(backend, FP_A, "a", 30.0)
+        backend.mark_done_many([FP_A], "a")
+        assert not claim(backend, FP_A, "b", 30.0)
         backend.clock.advance(1_000_000.0)
-        assert not backend.claim(FP_A, "b", 30.0)  # no TTL on done
+        assert not claim(backend, FP_A, "b", 30.0)  # no TTL on done
 
     def test_renew_never_revives_a_done_marker(self, backend):
-        assert backend.claim(FP_A, "a", 30.0)
-        backend.mark_done(FP_A, "a")
+        assert claim(backend, FP_A, "a", 30.0)
+        backend.mark_done_many([FP_A], "a")
         with use_registry(MetricsRegistry()) as registry:
             assert not backend.renew(FP_A, "a", 30.0)
         ops = registry.counter("repro_grid_backend_ops_total")
@@ -126,30 +140,156 @@ class TestLeaseInvariants:
         assert backend.read_lease(FP_A)["done"] is True
         assert "deadline" not in backend.read_lease(FP_A)
         backend.clock.advance(31.0)  # a revived lease would have expired
-        assert not backend.claim(FP_A, "b", 30.0)
+        assert not claim(backend, FP_A, "b", 30.0)
 
     def test_release_reopens_only_for_the_holder(self, backend):
-        assert backend.claim(FP_A, "a", 300.0)
+        assert claim(backend, FP_A, "a", 300.0)
         backend.release(FP_A, "bystander")  # not the holder: no-op
-        assert not backend.claim(FP_A, "b", 300.0)
+        assert not claim(backend, FP_A, "b", 300.0)
         backend.release(FP_A, "a")
-        assert backend.claim(FP_A, "b", 300.0)
+        assert claim(backend, FP_A, "b", 300.0)
 
     def test_active_tracks_live_leases_only(self, backend):
-        assert backend.claim(FP_A, "a", 30.0)
-        assert backend.claim(FP_B, "b", 300.0)
+        assert claim(backend, FP_A, "a", 30.0)
+        assert claim(backend, FP_B, "b", 300.0)
         assert set(backend.active()) == {FP_A, FP_B}
         backend.clock.advance(31.0)  # FP_A expires, FP_B lives on
         assert set(backend.active()) == {FP_B}
-        backend.mark_done(FP_B, "b")  # done markers are not active leases
+        backend.mark_done_many([FP_B], "b")  # done markers are not active leases
         assert backend.active() == {}
+
+
+class TestBatchLeases:
+    """The batch calls decide every cell on its own, on every backend."""
+
+    def test_racing_overlapping_batches_win_each_fingerprint_once(self, backend):
+        """Threads race claim_many over overlapping batches of fresh and
+        expired leases: every fingerprint has exactly one winner, and the
+        lease names it."""
+        fingerprints = [f"{index:064x}" for index in range(12)]
+        for fingerprint in fingerprints[::2]:  # crashed holders, about to expire
+            assert claim(backend, fingerprint, "crashed", 30.0)
+        backend.clock.advance(31.0)
+        workers = [f"w{index}" for index in range(4)]
+        barrier = threading.Barrier(len(workers))
+        won = {}
+
+        def race(index, worker):
+            # Each worker's batch: 8 of the 12 cells, rotated and reversed
+            # for odd workers, so every pair of batches overlaps.
+            batch = (fingerprints[3 * index:] + fingerprints[:3 * index])[:8]
+            batch = batch[::-1] if index % 2 else batch
+            barrier.wait()
+            won[worker] = dict(zip(batch, backend.claim_many(batch, worker, 300.0)))
+
+        threads = [threading.Thread(target=race, args=pair) for pair in enumerate(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads mid-claim as often as possible
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(won) == workers
+        for fingerprint in fingerprints:
+            winners = [w for w in workers if won[w].get(fingerprint)]
+            contenders = [w for w in workers if fingerprint in won[w]]
+            assert len(winners) == 1, (fingerprint, winners, contenders)
+            assert backend.read_lease(fingerprint)["worker"] == winners[0]
+
+    def test_a_mixed_batch_is_decided_per_cell(self, backend):
+        free, live, expired, done = (f"{index:064x}" for index in range(4))
+        assert backend.claim_many([expired], "crashed", 10.0) == [True]
+        assert backend.claim_many([live], "other", 300.0) == [True]
+        assert backend.claim_many([done], "finisher", 300.0) == [True]
+        backend.mark_done_many([done], "finisher")
+        backend.clock.advance(11.0)
+        with use_registry(MetricsRegistry()) as registry:
+            verdicts = backend.claim_many([free, live, expired, done], "me", 60.0)
+        assert verdicts == [True, False, True, False]
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert [ops.value(backend=backend.kind, op=op)
+                for op in ("claim", "reclaim", "claim_conflict")] == [1, 1, 2]
+        assert {fp: backend.read_lease(fp)["worker"]
+                for fp in (free, live, expired, done)} == {
+            free: "me", live: "other", expired: "me", done: "finisher"}
+        assert set(backend.active()) == {free, live, expired}
+
+    def test_renewing_one_batch_mate_leaves_the_others_alone(self, backend):
+        """No in-place lease writes: a renew rewrites its own lease only,
+        even where one file backs every lease of the batch."""
+        batch = [FP_A, FP_B, "c" * 64]
+        claimed_at = backend.clock()
+        assert backend.claim_many(batch, "w", 60.0) == [True, True, True]
+        backend.clock.advance(10.0)
+        assert backend.renew(FP_B, "w", 60.0)
+        assert [backend.read_lease(fp)["deadline"] for fp in batch] == [
+            claimed_at + 60.0, claimed_at + 70.0, claimed_at + 60.0]
+        backend.mark_done_many([FP_A], "w")
+        assert backend.read_lease(FP_A)["done"] is True
+        assert [backend.read_lease(fp)["deadline"] for fp in batch[1:]] == [
+            claimed_at + 70.0, claimed_at + 60.0]
+
+    def test_done_markers_of_a_batch_are_permanent(self, backend):
+        batch = [FP_A, FP_B]
+        assert backend.claim_many(batch, "a", 30.0) == [True, True]
+        with use_registry(MetricsRegistry()) as registry:
+            backend.mark_done_many(batch, "a")
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend=backend.kind, op="mark_done") == 2
+        backend.clock.advance(1_000_000.0)
+        assert backend.claim_many(batch, "b", 30.0) == [False, False]
+        assert not backend.renew(FP_A, "a", 30.0)
+        assert backend.active() == {}
+        assert all(backend.read_lease(fp)["done"] is True for fp in batch)
+
+    def test_empty_batches_are_no_ops(self, backend):
+        assert backend.claim_many([], "w", 30.0) == []
+        backend.mark_done_many([], "w")
+        backend.append_records(0, "w", [])
+        assert backend.active() == {} and list(backend.iter_records(0)) == []
+
+    def test_one_string_is_not_a_batch(self, backend):
+        with pytest.raises(TypeError):
+            backend.claim_many(FP_A, "w", 30.0)
+        with pytest.raises(TypeError):
+            backend.mark_done_many(FP_A, "w")
+        with pytest.raises(TypeError):
+            backend.append_records(0, "w", encode_document({"fingerprint": FP_A}))
+        assert backend.read_lease(FP_A) is None
+
+
+class TestFileRelease:
+    def test_a_rival_reclaim_between_read_and_removal_survives(self, tmp_path):
+        """Regression: release read the holder, then unlinked the path; a
+        rival reclaiming the expired lease in between lost its live lease."""
+        clock = FakeClock()
+        stale = FileBackend(tmp_path, clock=clock)
+        rival = FileBackend(tmp_path, clock=clock)
+        assert claim(stale, FP_A, "stale", 30.0)
+        clock.advance(31.0)
+        read_lease = stale.read_lease
+
+        def read_then_rival_reclaims(fingerprint):
+            holder = read_lease(fingerprint)
+            assert claim(rival, fingerprint, "rival", 300.0)
+            return holder
+
+        stale.read_lease = read_then_rival_reclaims
+        stale.release(FP_A, "stale")
+        assert rival.read_lease(FP_A)["worker"] == "rival"
+        assert set(rival.active()) == {FP_A}
+        assert sorted(path.name for path in rival.leases_dir.iterdir()) == [f"{FP_A}.lease"]
 
 
 class TestRecordsAndManifest:
     def test_appends_from_two_workers_interleave(self, backend):
-        backend.append_records(0, "w1", [{"fingerprint": FP_A, "n": 1}])
-        backend.append_records(0, "w2", [{"fingerprint": FP_B, "n": 2}])
-        backend.append_records(1, "w1", [{"fingerprint": FP_A, "n": 3}])
+        backend.append_records(0, "w1", lines({"fingerprint": FP_A, "n": 1}))
+        backend.append_records(0, "w2", lines({"fingerprint": FP_B, "n": 2}))
+        backend.append_records(1, "w1", lines({"fingerprint": FP_A, "n": 3}))
         shard0 = list(backend.iter_records(0))
         assert sorted(record["n"] for record in shard0) == [1, 2]
         assert [record["n"] for record in backend.iter_records(1)] == [3]
@@ -192,7 +332,7 @@ class TestFaultInjection:
         victim = plan_shards(spec, 2)[1][0]
         # The crashed worker died holding a live lease; it expires on the
         # injected clock, and the resuming worker reclaims and finishes.
-        assert backend.claim(victim.fingerprint(), "crashed", 30.0)
+        assert claim(backend, victim.fingerprint(), "crashed", 30.0)
         backend.clock.advance(31.0)
         report = run_grid_worker(run, workers=1, lease_ttl_s=30.0,
                                  clock=backend.clock)
@@ -204,7 +344,7 @@ class TestFaultInjection:
         spec = tiny_spec()
         run = GridRun.create(spec, backend=backend, shard_count=1)
         victim = spec.expand()[0]
-        assert backend.claim(victim.fingerprint(), "other-host", 300.0)
+        assert claim(backend, victim.fingerprint(), "other-host", 300.0)
         first = run_grid_worker(run, workers=1, clock=backend.clock)
         assert first.skipped_leased == 1 and first.executed == 3
         with pytest.raises(ValueError, match="incomplete"):
@@ -223,22 +363,22 @@ class TestFaultInjection:
         assert canonical(merge_run(run)) == golden
         records = list(run.iter_shard_records(0))
         # A retried worker appended the same cell twice...
-        backend.append_records(0, "retry", [records[0]])
+        backend.append_records(0, "retry", lines(records[0]))
         # ...a cell recorded a failure before its eventual success...
-        backend.append_records(0, "retry", [{
+        backend.append_records(0, "retry", lines({
             "fingerprint": records[0]["fingerprint"],
             "shard": 0, "worker": "retry", "error": "boom", "attempts": 1,
-        }])
+        }))
         # ...a record arrived torn (non-dict result payload)...
-        backend.append_records(0, "retry", [{
+        backend.append_records(0, "retry", lines({
             "fingerprint": records[1]["fingerprint"],
             "shard": 0, "worker": "retry", "result": "truncat",
-        }])
+        }))
         # ...and a foreign record from some other sweep leaked in.
-        backend.append_records(0, "stray", [{
+        backend.append_records(0, "stray", lines({
             "fingerprint": "f" * 64, "shard": 0, "worker": "stray",
             "result": {"bogus": True},
-        }])
+        }))
         if isinstance(backend, FileBackend):
             # A torn JSONL line (the crash the per-record object stores
             # cannot even express) must be skipped, not fatal.
@@ -263,7 +403,7 @@ class TestFaultInjection:
         spec = tiny_spec()
         run = GridRun.create(spec, backend=backend, shard_count=2)
         with monkeypatch.context() as patch:
-            patch.setattr(backend, "mark_done", crash)
+            patch.setattr(backend, "mark_done_many", crash)
             with pytest.raises(WorkerCrash):
                 run_grid_worker(run, workers=1, worker_id="crashed",
                                 lease_ttl_s=30.0, clock=backend.clock)

@@ -9,16 +9,16 @@ from repro.faas.backends import GridBackend
 class IncompleteBackend(GridBackend):
     """Misses renew and active entirely: two findings."""
 
-    def claim(self, fingerprint, worker_id, ttl_s):
+    def claim_many(self, fingerprints, worker_id, ttl_s):
         return True
 
-    def mark_done(self, fingerprint, worker_id):
+    def mark_done_many(self, fingerprints, worker_id):
         pass
 
     def release(self, fingerprint, worker_id):
         pass
 
-    def append_records(self, shard, worker_id, documents):
+    def append_records(self, shard, worker_id, lines):
         pass
 
     def iter_records(self, shard):
@@ -32,16 +32,16 @@ class IncompleteBackend(GridBackend):
 
 
 class MismatchedBackend(GridBackend):
-    """Full method set, but claim renamed its params and append_records
+    """Full method set, but claim_many renamed its params and append_records
     dropped worker_id: two findings."""
 
-    def claim(self, fp, who, lease_seconds):
+    def claim_many(self, fps, who, lease_seconds):
         return True
 
     def renew(self, fingerprint, worker_id, ttl_s):
         return True
 
-    def mark_done(self, fingerprint, worker_id):
+    def mark_done_many(self, fingerprints, worker_id):
         pass
 
     def release(self, fingerprint, worker_id):
@@ -50,7 +50,7 @@ class MismatchedBackend(GridBackend):
     def active(self):
         return {}
 
-    def append_records(self, shard, documents):
+    def append_records(self, shard, lines):
         pass
 
     def iter_records(self, shard):
@@ -66,14 +66,14 @@ class MismatchedBackend(GridBackend):
 class LeakyBackend(GridBackend):
     """Protocol-complete but smuggles the filesystem back in: three findings."""
 
-    def claim(self, fingerprint, worker_id, ttl_s):
-        Path("leases").write_text(fingerprint)  # pathlib leak
-        return True
+    def claim_many(self, fingerprints, worker_id, ttl_s):
+        Path("leases").write_text(fingerprints[0])  # pathlib leak
+        return [True]
 
     def renew(self, fingerprint, worker_id, ttl_s):
         return True
 
-    def mark_done(self, fingerprint, worker_id):
+    def mark_done_many(self, fingerprints, worker_id):
         pass
 
     def release(self, fingerprint, worker_id):
@@ -83,7 +83,7 @@ class LeakyBackend(GridBackend):
     def active(self):
         return {name: {} for name in os.listdir("leases")}  # os leak
 
-    def append_records(self, shard, worker_id, documents):
+    def append_records(self, shard, worker_id, lines):
         pass
 
     def iter_records(self, shard):

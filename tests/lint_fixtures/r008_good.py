@@ -7,22 +7,22 @@ from repro.faas.backends import GridBackend
 
 
 class CompliantBackend(GridBackend):
-    """Full protocol; the extra keyword-only option on claim is allowed."""
+    """Full protocol; the extra keyword-only option on claim_many is allowed."""
 
     def __init__(self):
         self._leases = {}
         self._records = {}
         self._manifest = None
 
-    def claim(self, fingerprint, worker_id, ttl_s, *, steal=False):
-        self._leases[fingerprint] = worker_id
-        return True
+    def claim_many(self, fingerprints, worker_id, ttl_s, *, steal=False):
+        self._leases.update(dict.fromkeys(fingerprints, worker_id))
+        return [True] * len(fingerprints)
 
     def renew(self, fingerprint, worker_id, ttl_s):
         return self._leases.get(fingerprint) == worker_id
 
-    def mark_done(self, fingerprint, worker_id):
-        self._leases[fingerprint] = "done"
+    def mark_done_many(self, fingerprints, worker_id):
+        self._leases.update(dict.fromkeys(fingerprints, "done"))
 
     def release(self, fingerprint, worker_id):
         self._leases.pop(fingerprint, None)
@@ -30,8 +30,8 @@ class CompliantBackend(GridBackend):
     def active(self):
         return {fp: {"worker": who} for fp, who in self._leases.items()}
 
-    def append_records(self, shard, worker_id, documents):
-        self._records.setdefault(shard, []).extend(documents)
+    def append_records(self, shard, worker_id, lines):
+        self._records.setdefault(shard, []).extend(lines)
 
     def iter_records(self, shard):
         return iter(self._records.get(shard, []))
@@ -52,14 +52,15 @@ class FileBackend(backends.GridBackend):
     def __init__(self, root):
         self.root = Path(root)
 
-    def claim(self, fingerprint, worker_id, ttl_s):
-        return not (self.root / fingerprint).exists()
+    def claim_many(self, fingerprints, worker_id, ttl_s):
+        return [not (self.root / fingerprint).exists() for fingerprint in fingerprints]
 
     def renew(self, fingerprint, worker_id, ttl_s):
         return True
 
-    def mark_done(self, fingerprint, worker_id):
-        (self.root / fingerprint).write_text(worker_id)
+    def mark_done_many(self, fingerprints, worker_id):
+        for fingerprint in fingerprints:
+            (self.root / fingerprint).write_text(worker_id)
 
     def release(self, fingerprint, worker_id):
         pass
@@ -67,7 +68,7 @@ class FileBackend(backends.GridBackend):
     def active(self):
         return {}
 
-    def append_records(self, shard, worker_id, documents):
+    def append_records(self, shard, worker_id, lines):
         with open(self.root / f"shard-{shard}.jsonl", "a") as handle:
             handle.write("{}\n")
 

@@ -106,7 +106,8 @@ class TestDerivedRates:
         run = GridRun.create(spec, tmp_path / "run")
         leased = spec.expand()[-1]
         assert leased.seed_index == 1
-        assert LeaseQueue(run.backend, worker_id="other-host").claim(leased.fingerprint())
+        assert LeaseQueue(run.backend, worker_id="other-host").claim_many(
+            [leased.fingerprint()]) == [True]
         with use_registry(MetricsRegistry()) as registry:
             report = run_grid_worker(run, workers=1, cache_dir=cache)
         assert (report.cache_hits, report.executed, report.skipped_leased) == (2, 1, 1)
@@ -159,7 +160,7 @@ class TestRespond:
         run = GridRun.create(tiny_spec(), tmp_path / "run", shard_count=2)
         stuck = run.spec.expand()[0]
         assert LeaseQueue(run.backend, worker_id="other-host",
-                          ttl_s=300.0).claim(stuck.fingerprint())
+                          ttl_s=300.0).claim_many([stuck.fingerprint()]) == [True]
         status, _, body = respond("GET", "/status", run.run_dir)
         assert status == 200
         document = json.loads(body.decode())

@@ -428,7 +428,7 @@ class TestGridCli:
         run = GridRun.create(spec, tmp_path / "run")
         stuck = spec.expand()[0]
         assert LeaseQueue(run.backend, worker_id="other-host",
-                          ttl_s=300.0).claim(stuck.fingerprint())
+                          ttl_s=300.0).claim_many([stuck.fingerprint()]) == [True]
         assert main(["campaign-status", str(run.run_dir)]) == 0
         out = capsys.readouterr().out
         assert "cells: 0/4 done, 0 failed, 1 leased, 3 pending" in out
