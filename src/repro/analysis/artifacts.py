@@ -50,7 +50,7 @@ from ..faas.campaign import (
 )
 from ..faas.workload import WorkloadSpec
 from ..observability import current_registry, span
-from ..sim.platforms.spec import PlatformSpec
+from ..sim.platforms.spec import PlatformSpec, scenario_epoch
 
 #: The paper's cloud platforms, in its display order.
 CLOUDS = ("gcp", "aws", "azure")
@@ -79,19 +79,33 @@ class CellRequest:
     repetitions: int = 1
 
     def job(self) -> CampaignJob:
-        """The fully resolved campaign cell this request addresses."""
-        from ..benchmarks.registry import canonical_benchmark_spec
+        """The fully resolved campaign cell this request addresses.
 
-        spec = PlatformSpec.coerce(self.platform).with_default_era(None)
-        return CampaignJob(
-            benchmark=canonical_benchmark_spec(self.benchmark),
-            platform=spec,
-            memory_mb=self.memory_mb,
-            seed_index=int(self.seed),
-            seed=int(self.seed),
-            workload=self.workload,
-            repetitions=self.repetitions,
-        )
+        Memoized by value, so every render reuses the planned job and its
+        fingerprint.  The key carries the scenario epoch: a scenario name
+        registered anew resolves anew.
+        """
+        key = (self, scenario_epoch())
+        job = _JOB_MEMO.get(key)
+        if job is None:
+            from ..benchmarks.registry import canonical_benchmark_spec
+
+            job = CampaignJob(
+                benchmark=canonical_benchmark_spec(self.benchmark),
+                platform=PlatformSpec.coerce(self.platform).with_default_era(None),
+                memory_mb=self.memory_mb,
+                seed_index=int(self.seed),
+                seed=int(self.seed),
+                workload=self.workload,
+                repetitions=self.repetitions,
+            )
+            if len(_JOB_MEMO) >= 1024:
+                _JOB_MEMO.clear()
+            _JOB_MEMO[key] = job
+        return job
+
+
+_JOB_MEMO: Dict[Tuple[CellRequest, int], CampaignJob] = {}
 
 
 def request_result(campaign: CampaignResult, request: CellRequest):

@@ -227,9 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", default=None, metavar="BACKEND",
         help="grid coordination backend: 'file' (the default; state lives "
              "under --run-dir), 'memory[://NAME]' (in-process store -- the "
-             "whole run executes and merges within this invocation), or "
-             "'fake-object://BUCKET[/PREFIX]' (local object-store fake with "
-             "S3/GCS conditional-put semantics)",
+             "whole run executes and merges within this invocation)",
     )
     campaign.add_argument(
         "--shard", default=None, metavar="I/N",

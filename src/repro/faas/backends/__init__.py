@@ -2,37 +2,32 @@
 
 The :class:`~repro.faas.backends.base.GridBackend` protocol pins down what a
 coordination medium must provide (TTL leases, append-only result streams, an
-exclusively-created manifest); three implementations ship:
+exclusively-created manifest); two implementations ship:
 
 * :class:`~repro.faas.backends.file.FileBackend` -- the original shared
   run-directory semantics (local disk, NFS, synced volumes);
 * :class:`~repro.faas.backends.memory.MemoryBackend` -- an in-process store
-  for tests and single-host elastic workers;
-* :class:`~repro.faas.backends.object_store.ObjectStoreBackend` -- S3/GCS
-  conditional-put semantics over any client with the
-  :class:`~repro.faas.backends.object_store.LocalObjectStore` surface.
+  for tests and single-host elastic workers.
 
-:func:`create_backend` maps the CLI's ``--backend`` strings onto instances.
+The storage contract an S3/GCS backend would build on is written down in
+:mod:`~repro.faas.backends.base`.  :func:`create_backend` maps the CLI's
+``--backend`` strings onto instances.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .base import GridBackend, _safe_worker_id, _wall_clock
+from .base import GridBackend
 from .file import FileBackend
 from .memory import MemoryBackend, memory_backend
-from .object_store import LocalObjectStore, ObjectStoreBackend, fake_object_store
 
 __all__ = [
     "GridBackend",
     "FileBackend",
     "MemoryBackend",
-    "ObjectStoreBackend",
-    "LocalObjectStore",
     "create_backend",
     "memory_backend",
-    "fake_object_store",
 ]
 
 
@@ -44,12 +39,9 @@ def create_backend(spec: str, run_dir: Optional[str] = None) -> GridBackend:
         file                       shared run directory (needs run_dir)
         memory                     process-shared in-memory store
         memory://NAME              a named in-memory store
-        fake-object://BUCKET[/P]   local object-store fake, optional prefix
 
     Real ``s3://`` / ``gs://`` URLs are recognised but rejected with
-    guidance: the simulator does not bundle cloud clients, so production
-    deployments construct :class:`ObjectStoreBackend` directly with their
-    own client object.
+    guidance: the simulator bundles no cloud client.
     """
     if spec == "file":
         if run_dir is None:
@@ -60,20 +52,10 @@ def create_backend(spec: str, run_dir: Optional[str] = None) -> GridBackend:
     if spec.startswith("memory://"):
         name = spec[len("memory://"):] or "default"
         return memory_backend(name)
-    if spec.startswith("fake-object://"):
-        location = spec[len("fake-object://"):]
-        bucket, _, prefix = location.partition("/")
-        if not bucket:
-            raise ValueError(f"fake-object URL needs a bucket: {spec!r}")
-        return ObjectStoreBackend(fake_object_store(bucket), prefix=prefix)
     if spec.startswith(("s3://", "gs://")):
         raise ValueError(
-            f"{spec!r}: no object-store client is bundled; construct "
-            f"ObjectStoreBackend with your own client (see "
-            f"repro.faas.backends.object_store), or use fake-object://BUCKET "
-            f"for the local fake"
+            f"{spec!r}: no object-store backend is bundled; share a run "
+            f"directory (--backend file) instead, or implement GridBackend over "
+            f"your client (see the storage contract in repro.faas.backends.base)"
         )
-    raise ValueError(
-        f"unknown backend {spec!r}; expected file, memory[://NAME], or "
-        f"fake-object://BUCKET[/PREFIX]"
-    )
+    raise ValueError(f"unknown backend {spec!r}; expected file or memory[://NAME]")

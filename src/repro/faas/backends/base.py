@@ -5,10 +5,8 @@ through exactly three kinds of shared state -- TTL *leases* (who is running
 what), append-only *result records* (what is finished), and a single *run
 manifest* (what campaign this is).  This module pins that contract down as an
 abstract base class so the medium holding the state is pluggable: a shared
-filesystem (:class:`~repro.faas.backends.file.FileBackend`), an in-process
-store (:class:`~repro.faas.backends.memory.MemoryBackend`), or an object
-store with conditional puts
-(:class:`~repro.faas.backends.object_store.ObjectStoreBackend`).
+filesystem (:class:`~repro.faas.backends.file.FileBackend`) or an in-process
+store (:class:`~repro.faas.backends.memory.MemoryBackend`).
 
 Every implementation must honour the same five invariants the file backend
 pioneered, because the worker/merge logic above is written against them:
@@ -32,6 +30,19 @@ pioneered, because the worker/merge logic above is written against them:
    replaced whole, or removed.  The file backend links one shared file
    onto every lease of a claim or done batch, so an in-place write to one
    lease would rewrite its batch-mates too.
+
+A medium needs only four storage operations on one key to honour them --
+*read* (the document and a version tag), *create if absent*, *replace if
+unchanged* (still the version read) and *delete if unchanged*.  The file
+backend gets them from ``link(2)``, tombstone renames and a re-read; the
+memory backend from its lock.  S3 and GCS offer them as conditional
+requests (``If-None-Match: *`` / ``If-Match: <etag>``, or
+``ifGenerationMatch``): a claim of a fresh cell is a create if absent, so
+exactly one racing put wins; a reclaim of an expired lease is a replace
+guarded by the version of the expired document read, so the first winner's
+write fences out every other reclaimer.  Records there are immutable
+objects, one per batch under a per-worker prefix, so appends never contend
+and a torn upload never appears.
 
 Time never comes from the backend's medium: every deadline read/write flows
 through the injectable :attr:`GridBackend.clock`, so tests drive lease expiry
@@ -74,11 +85,11 @@ def _batch(items: Sequence[str]) -> Sequence[str]:
 
 
 def _renewable(holder: Optional[Dict[str, object]], worker_id: str) -> bool:
-    """Whether ``worker_id`` may heartbeat this lease document.
+    """Whether ``worker_id`` may heartbeat or release this lease document.
 
     Only its own live lease: never a rival's reclaim, and never a done
-    marker -- renewing one would turn it back into an expiring lease that a
-    rival could later claim, re-running a finished cell.
+    marker -- renewing or releasing one would let a rival claim it later,
+    re-running a finished cell.
     """
     return (
         holder is not None
@@ -161,7 +172,7 @@ class GridBackend(ABC):
 
     @abstractmethod
     def release(self, fingerprint: str, worker_id: str) -> None:
-        """Drop our lease; a rival's claim (after reclaiming us) is left alone."""
+        """Drop our live lease; a rival's claim and any done marker stay."""
 
     @abstractmethod
     def active(self) -> Dict[str, Dict[str, object]]:

@@ -206,12 +206,12 @@ class FileBackend(GridBackend):
             shared.unlink(missing_ok=True)
 
     def release(self, fingerprint: str, worker_id: str) -> None:
-        holder = self.read_lease(fingerprint)
-        if holder is None or holder.get("worker") != worker_id:
-            return
-        # Not a plain unlink: a rival may reclaim the lease after our read,
-        # so the sweep puts back whatever is not ours.
-        if self._sweep(fingerprint, lambda swept: swept.get("worker") != worker_id):
+        if not _renewable(self.read_lease(fingerprint), worker_id):
+            return  # a rival's lease, or a done marker: never ours to drop
+        # Not a plain unlink: a rival may reclaim the lease, or a worker
+        # sharing our id finish the cell, after our read, so the sweep puts
+        # back whatever is not our live lease.
+        if self._sweep(fingerprint, lambda swept: not _renewable(swept, worker_id)):
             self._record_op("release")
 
     def active(self) -> Dict[str, Dict[str, object]]:

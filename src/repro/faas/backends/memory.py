@@ -102,9 +102,8 @@ class MemoryBackend(GridBackend):
 
     def release(self, fingerprint: str, worker_id: str) -> None:
         with self._lock:
-            holder = self._holder(fingerprint)
-            if holder is None or holder.get("worker") != worker_id:
-                return
+            if not _renewable(self._holder(fingerprint), worker_id):
+                return  # a rival's lease, or a done marker: never ours to drop
             self._leases.pop(fingerprint, None)
             self._record_op("release")
 

@@ -36,6 +36,7 @@ tables and figure inputs of the paper's evaluation.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -44,6 +45,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from time import perf_counter
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -407,6 +409,27 @@ def _warm_benchmark(name: str):
     return benchmark
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for the body of the ``with``.
+
+    Cells, cache reads and merges make no reference cycles: the engine
+    breaks its own, and the decoders build plain trees.  Reference counting
+    frees all they drop, and a collection in their midst finds nothing.
+    It only walks the tens of thousands of tracked objects of the decoded
+    results.  On exit the collector is back in the caller's state, even
+    when the body raises.  The state is process-wide: pauses in two
+    threads at once could leave it off, so only one thread may pause.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     """Worker entry point: run one cell and return its serialised result.
 
@@ -417,10 +440,11 @@ def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     """
     from .experiment import ExperimentRunner
 
-    job = CampaignJob.from_dict(payload)
-    benchmark = _warm_benchmark(job.benchmark)
-    result = ExperimentRunner(job.experiment_config()).run(benchmark)
-    return result_to_dict(result)
+    with collector_paused():
+        job = CampaignJob.from_dict(payload)
+        benchmark = _warm_benchmark(job.benchmark)
+        result = ExperimentRunner(job.experiment_config()).run(benchmark)
+        return result_to_dict(result)
 
 
 def _execute_job_timed(payload: Dict[str, object], encode: bool = False) -> Dict[str, object]:
@@ -1253,19 +1277,22 @@ def drive_cells(
     cache_path = Path(cache_dir) if cache_dir is not None else None
     pending: List[CampaignJob] = []
     hits: List[Delivered] = []
-    for job, result in iter_cached_cells(cache_path, jobs):
-        if result is None:
-            pending.append(job)
-        else:
-            cache_hits.inc()
-            hits.append((job, None, result, None))
-            if progress is not None:
-                progress(job, True)
-        if hits and (result is None or len(hits) == MAX_CHUNK_CELLS):
+    # One pause over the whole scan: re-enabling per cell would restart the
+    # young-to-old collection cascade over the results decoded so far.
+    with collector_paused():
+        for job, result in iter_cached_cells(cache_path, jobs):
+            if result is None:
+                pending.append(job)
+            else:
+                cache_hits.inc()
+                hits.append((job, None, result, None))
+                if progress is not None:
+                    progress(job, True)
+            if hits and (result is None or len(hits) == MAX_CHUNK_CELLS):
+                deliver(hits)
+                hits = []
+        if hits:
             deliver(hits)
-            hits = []
-    if hits:
-        deliver(hits)
 
     def admitted(batch: List[CampaignJob]) -> List[bool]:
         verdicts = admit(batch) if admit is not None else [True] * len(batch)

@@ -27,10 +27,7 @@ Where the state lives is pluggable (:mod:`repro.faas.backends`): the default
 :class:`~repro.faas.backends.file.FileBackend` keeps the original shared
 run-directory layout (``grid.json`` + ``leases/`` + ``results/``), the
 in-process :class:`~repro.faas.backends.memory.MemoryBackend` serves tests
-and single-host elastic workers, and
-:class:`~repro.faas.backends.object_store.ObjectStoreBackend` speaks
-S3/GCS conditional-put semantics so thousands of workers can coordinate
-through a bucket.  The merge is bit-identical to the single-process run on
+and single-host elastic workers.  The merge is bit-identical to the single-process run on
 every backend.
 
 Cell execution itself is not the grid's: :func:`run_grid_worker` runs the
@@ -64,6 +61,7 @@ from .campaign import (
     CampaignSpec,
     CellFailure,
     Delivered,
+    collector_paused,
     drive_cells,
     iter_cached_cells,
 )
@@ -581,23 +579,24 @@ def merge_run(
     jobs = run.spec.expand()
     wanted = {job.fingerprint() for job in jobs}
     merged: Dict[str, Tuple[ExperimentResult, bool]] = {}
-    for shard in range(run.shard_count):
-        for record in run.iter_shard_records(shard):
-            fingerprint = str(record.get("fingerprint", ""))
-            if fingerprint not in wanted or fingerprint in merged:
-                continue
-            result_document = record.get("result")
-            if not isinstance(result_document, dict):
-                continue
-            try:
-                result = result_from_dict(result_document)
-            except DECODE_ERRORS:
-                continue  # corrupt record; a duplicate or the cache may supply it
-            merged[fingerprint] = (result, bool(record.get("from_cache", False)))
-    unmerged = [job for job in jobs if job.fingerprint() not in merged]
-    for job, result in iter_cached_cells(cache_dir, unmerged):
-        if result is not None:
-            merged[job.fingerprint()] = (result, True)
+    with collector_paused():  # one pause over the whole fold, as in drive_cells
+        for shard in range(run.shard_count):
+            for record in run.iter_shard_records(shard):
+                fingerprint = str(record.get("fingerprint", ""))
+                if fingerprint not in wanted or fingerprint in merged:
+                    continue
+                result_document = record.get("result")
+                if not isinstance(result_document, dict):
+                    continue
+                try:
+                    result = result_from_dict(result_document)
+                except DECODE_ERRORS:
+                    continue  # corrupt record; a duplicate or the cache may supply it
+                merged[fingerprint] = (result, bool(record.get("from_cache", False)))
+        unmerged = [job for job in jobs if job.fingerprint() not in merged]
+        for job, result in iter_cached_cells(cache_dir, unmerged):
+            if result is not None:
+                merged[job.fingerprint()] = (result, True)
     missing = [job for job in unmerged if job.fingerprint() not in merged]
     if missing and not allow_partial:
         raise ValueError(

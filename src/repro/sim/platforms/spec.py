@@ -474,6 +474,9 @@ _FACTORIES: Dict[Tuple[str, Optional[str]], Callable[[], PlatformProfile]] = {}
 _PLATFORM_NAMES: List[str] = []
 _ERAS: List[str] = []
 _SCENARIOS: Dict[str, PlatformSpec] = {}
+#: Bumped by every :func:`register_scenario`, so memos of resolved specs
+#: can key on it (see :func:`scenario_epoch`).
+_SCENARIO_EPOCH = 0
 _BUILTINS_LOADED = False
 #: Platform/era names available in *any* process (registered by importing
 #: .profiles), as opposed to runtime registrations that live only in the
@@ -621,6 +624,8 @@ def register_scenario(
         # label so the scenario is usable, instead of registering something
         # that fails at every resolve with "unknown era".
         register_era(spec.era)
+    global _SCENARIO_EPOCH
+    _SCENARIO_EPOCH += 1
     _SCENARIOS[name] = spec
     return spec
 
@@ -727,6 +732,11 @@ def available_eras() -> List[str]:
     """Registered era labels, in registration order."""
     _ensure_builtins()
     return list(_ERAS)
+
+
+def scenario_epoch() -> int:
+    """How many scenario registrations this process has made."""
+    return _SCENARIO_EPOCH
 
 
 def available_scenarios() -> Dict[str, PlatformSpec]:

@@ -20,6 +20,7 @@ from repro.faas import (
     run_campaign,
     run_grid_worker,
 )
+from repro.sim.platforms.spec import PlatformSpec, register_scenario
 
 QUICK = artifacts.ArtifactConfig(quick=True)
 SMALL = artifacts.ArtifactConfig(burst_size=3, seed=0, benchmarks=("mapreduce",))
@@ -294,3 +295,22 @@ class TestExplicitCampaignCells:
         )
         assert artifacts.request_result(campaign, request).median_overhead == \
             pytest.approx(direct.median_overhead)
+
+
+class TestRequestResolution:
+    def test_renders_reuse_the_planned_jobs(self):
+        plan = artifacts.plan_artifacts(["figure7"], QUICK)
+        planned = {id(job) for job in plan.jobs}
+        fresh = artifacts.get_artifact("figure7").cells(QUICK)
+        assert all(id(request.job()) in planned for request in fresh)
+
+    def test_a_scenario_registered_anew_resolves_anew(self):
+        request = artifacts.CellRequest(
+            benchmark="function_chain", platform="memo-probe",
+            workload=WorkloadSpec.burst(2), seed=0,
+        )
+        for scale in ("x2", "x3"):
+            register_scenario("memo-probe", f"aws:scaling.cold_start_median_s={scale}",
+                              overwrite=True)
+            expected = PlatformSpec.parse(f"aws:scaling.cold_start_median_s={scale}")
+            assert request.job().platform == expected.with_default_era(None)

@@ -4,8 +4,8 @@ Every backend must honour the same protocol invariants (claim exclusivity,
 one-winner expiry reclaim, done permanence, append durability, manifest
 exclusivity) and -- the acceptance bar -- produce a ``merge_run`` document
 bit-identical to the single-process ``run_campaign``, whatever faults the
-run suffered along the way.  The suite parametrizes the invariants over all
-three shipped backends with an injected clock, so expiry races are driven
+run suffered along the way.  The suite parametrizes the invariants over
+both shipped backends with an injected clock, so expiry races are driven
 by advancing time, never by sleeping.
 """
 
@@ -21,9 +21,7 @@ from repro.faas import (
     FileBackend,
     GridBackend,
     GridRun,
-    LocalObjectStore,
     MemoryBackend,
-    ObjectStoreBackend,
     autoscale_hint,
     create_backend,
     grid_status,
@@ -87,15 +85,13 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture(params=["file", "memory", "object-store"])
+@pytest.fixture(params=["file", "memory"])
 def backend(request, tmp_path) -> GridBackend:
     """One of each shipped backend, fresh, on a fake clock."""
     clock = FakeClock()
     if request.param == "file":
         return FileBackend(tmp_path / "run", clock=clock)
-    if request.param == "memory":
-        return MemoryBackend(name="test", clock=clock)
-    return ObjectStoreBackend(LocalObjectStore(), prefix="runs/a", clock=clock)
+    return MemoryBackend(name="test", clock=clock)
 
 
 class TestLeaseInvariants:
@@ -148,6 +144,19 @@ class TestLeaseInvariants:
         assert not claim(backend, FP_A, "b", 300.0)
         backend.release(FP_A, "a")
         assert claim(backend, FP_A, "b", 300.0)
+
+    def test_release_by_the_finishing_worker_id_keeps_the_done_marker(self, backend):
+        """Regression: a release under the worker id that wrote the done
+        marker (two processes sharing one --worker-id) dropped it, so the
+        finished cell could be claimed and run again."""
+        assert claim(backend, FP_A, "w", 30.0)
+        backend.mark_done_many([FP_A], "w")
+        with use_registry(MetricsRegistry()) as registry:
+            backend.release(FP_A, "w")
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend=backend.kind, op="release") == 0
+        assert backend.read_lease(FP_A)["done"] is True
+        assert not claim(backend, FP_A, "other", 30.0)
 
     def test_active_tracks_live_leases_only(self, backend):
         assert claim(backend, FP_A, "a", 30.0)
@@ -284,6 +293,25 @@ class TestFileRelease:
         assert set(rival.active()) == {FP_A}
         assert sorted(path.name for path in rival.leases_dir.iterdir()) == [f"{FP_A}.lease"]
 
+    def test_a_done_marker_written_between_read_and_removal_survives(self, tmp_path):
+        """A process sharing the releaser's worker id finishes the cell after
+        the releaser read its live lease: the sweep must put the marker back."""
+        clock = FakeClock()
+        releaser = FileBackend(tmp_path, clock=clock)
+        twin = FileBackend(tmp_path, clock=clock)
+        assert claim(releaser, FP_A, "w", 30.0)
+        read_lease = releaser.read_lease
+
+        def read_then_twin_finishes(fingerprint):
+            holder = read_lease(fingerprint)
+            twin.mark_done_many([fingerprint], "w")
+            return holder
+
+        releaser.read_lease = read_then_twin_finishes
+        releaser.release(FP_A, "w")
+        assert twin.read_lease(FP_A)["done"] is True
+        assert not claim(twin, FP_A, "other", 30.0)
+
 
 class TestRecordsAndManifest:
     def test_appends_from_two_workers_interleave(self, backend):
@@ -300,27 +328,6 @@ class TestRecordsAndManifest:
         assert backend.write_manifest(manifest)
         assert not backend.write_manifest({"grid_version": 1, "shard_count": 9})
         assert backend.read_manifest() == manifest
-
-
-class TestLocalObjectStoreFake:
-    def test_etag_guards_behave_like_http_412(self):
-        store = LocalObjectStore()
-        etag = store.put("k", "v1")
-        assert etag is not None
-        assert store.put("k", "v2", if_absent=True) is None  # already exists
-        assert store.put("k", "v2", if_match="g999") is None  # stale etag
-        fresh = store.put("k", "v2", if_match=etag)
-        assert fresh is not None and fresh != etag  # every write bumps
-        assert store.get("k") == ("v2", fresh)
-        assert not store.delete("k", if_match=etag)  # stale guard
-        assert store.delete("k", if_match=fresh)
-        assert store.get("k") is None
-
-    def test_keys_lists_by_prefix(self):
-        store = LocalObjectStore()
-        for key in ("a/1", "a/2", "b/1"):
-            store.put(key, "x")
-        assert store.keys("a/") == ["a/1", "a/2"]
 
 
 class TestFaultInjection:
@@ -380,8 +387,8 @@ class TestFaultInjection:
             "result": {"bogus": True},
         }))
         if isinstance(backend, FileBackend):
-            # A torn JSONL line (the crash the per-record object stores
-            # cannot even express) must be skipped, not fatal.
+            # A torn JSONL line (a crash mid-append) must be skipped, not
+            # fatal.
             torn = backend.results_dir / "shard-0000.torn.jsonl"
             torn.write_text('{"fingerprint": "' + "c" * 64 + '", "resu')
         assert canonical(merge_run(run)) == golden
@@ -532,19 +539,14 @@ class TestCreateBackend:
         assert create_backend("memory://ci") is not create_backend("memory://x")
         assert isinstance(create_backend("memory"), MemoryBackend)
 
-    def test_fake_object_urls_share_the_bucket(self):
-        first = create_backend("fake-object://bucket/run1")
-        second = create_backend("fake-object://bucket/run2")
-        assert isinstance(first, ObjectStoreBackend)
-        assert first.store is second.store  # same bucket
-        assert first.prefix == "run1/" and second.prefix == "run2/"
-
     def test_rejections_carry_guidance(self):
         with pytest.raises(ValueError, match="pass --run-dir"):
             create_backend("file")
-        with pytest.raises(ValueError, match="fake-object://"):
+        with pytest.raises(ValueError, match="no object-store backend is bundled"):
             create_backend("s3://real-bucket/prefix")
+        with pytest.raises(ValueError, match="no object-store backend is bundled"):
+            create_backend("gs://real-bucket")
         with pytest.raises(ValueError, match="unknown backend"):
             create_backend("carrier-pigeon")
-        with pytest.raises(ValueError, match="needs a bucket"):
-            create_backend("fake-object://")
+        with pytest.raises(ValueError, match="unknown backend"):
+            create_backend("fake-object://bucket")
