@@ -314,3 +314,19 @@ class TestRequestResolution:
                               overwrite=True)
             expected = PlatformSpec.parse(f"aws:scaling.cold_start_median_s={scale}")
             assert request.job().platform == expected.with_default_era(None)
+
+    def test_equal_requests_share_one_job_and_distinct_ones_do_not(self):
+        def request(seed):
+            return artifacts.CellRequest(benchmark="function_chain", platform="aws",
+                                         workload=WorkloadSpec.burst(2), seed=seed)
+
+        assert request(0).job() is request(0).job()
+        other = request(1).job()
+        assert other is not request(0).job()
+        assert other.seed == 1 and other.fingerprint() != request(0).job().fingerprint()
+
+    def test_the_memo_stays_bounded(self):
+        for seed in range(1100):
+            artifacts.CellRequest(benchmark="function_chain", platform="aws",
+                                  workload=WorkloadSpec.burst(2), seed=seed).job()
+        assert 0 < len(artifacts._JOB_MEMO) <= 1024

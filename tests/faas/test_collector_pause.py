@@ -17,6 +17,7 @@ import pytest
 
 from repro.benchmarks.registry import ALL_BENCHMARKS
 from repro.faas import CampaignSpec, GridRun, MemoryBackend, merge_run, run_grid_worker
+from repro.faas import grid as grid_module
 from repro.faas.campaign import collector_paused, drive_cells, execute_job_inline, run_campaign
 from repro.faas.results import result_from_columns, result_from_dict, result_to_columns
 
@@ -77,6 +78,21 @@ def test_decoders_make_no_reference_cycles(grid):
         assert not garbage, (decode.__name__, garbage.most_common(10))
 
 
+def test_a_cache_scan_makes_no_reference_cycles(tmp_path):
+    spec = replace(SPEC, platforms=("aws",), workloads=("burst:burst_size=2",))
+    run_campaign(spec, workers=1, cache_dir=tmp_path)
+    hits = []
+
+    def never_fails(failure):
+        raise AssertionError(failure)
+
+    garbage = cyclic_garbage(lambda: drive_cells(spec.expand(), 1, tmp_path,
+                                                 hits.extend, never_fails))
+    assert len(hits) == len(ALL_BENCHMARKS)
+    assert all(result is not None for _, _, result, _ in hits)
+    assert not garbage, garbage.most_common(10)
+
+
 @pytest.fixture(params=[True, False], ids=["caller-enabled", "caller-disabled"])
 def caller_state(request):
     """The collector state a caller holds around the call under test."""
@@ -107,4 +123,34 @@ def test_a_raising_cache_scan_restores_the_callers_collector_state(caller_state,
 
     with pytest.raises(RuntimeError, match="sink failed"):
         drive_cells(spec.expand(), 1, tmp_path, deliver, lambda failure: None)
+    assert gc.isenabled() is caller_state
+
+
+def test_nested_pauses_restore_the_outermost_callers_state(caller_state):
+    with collector_paused():
+        with collector_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()  # the inner exit must not re-enable
+        with pytest.raises(RuntimeError, match="inner"):
+            with collector_paused():
+                raise RuntimeError("inner")
+        assert not gc.isenabled()
+    assert gc.isenabled() is caller_state
+
+
+def test_a_merge_restores_the_callers_collector_state(caller_state, monkeypatch):
+    spec = CampaignSpec(benchmarks=("function_chain",), platforms=("aws",),
+                        seeds=(0, 1), burst_size=2)
+    run = GridRun.create(spec, backend=MemoryBackend(name="merge-state"), shard_count=1)
+    run_grid_worker(run, workers=1)
+    assert gc.isenabled() is caller_state
+    assert len(merge_run(run).cells) == 2
+    assert gc.isenabled() is caller_state
+
+    def decoder_fails(document):
+        raise RuntimeError("decoder failed")
+
+    monkeypatch.setattr(grid_module, "result_from_dict", decoder_fails)
+    with pytest.raises(RuntimeError, match="decoder failed"):
+        merge_run(run)
     assert gc.isenabled() is caller_state

@@ -158,6 +158,25 @@ class TestLeaseInvariants:
         assert backend.read_lease(FP_A)["done"] is True
         assert not claim(backend, FP_A, "other", 30.0)
 
+    def test_release_of_an_unclaimed_cell_is_a_no_op(self, backend):
+        with use_registry(MetricsRegistry()) as registry:
+            backend.release(FP_A, "a")
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend=backend.kind, op="release") == 0
+        assert backend.read_lease(FP_A) is None
+        assert claim(backend, FP_A, "b", 30.0)
+
+    def test_a_stale_release_after_a_rival_finished_keeps_the_done_marker(self, backend):
+        """The first holder's lease expired, a rival reclaimed and finished
+        the cell; the first holder's late release must leave it done."""
+        assert claim(backend, FP_A, "slow", 30.0)
+        backend.clock.advance(31.0)
+        assert claim(backend, FP_A, "rival", 30.0)
+        backend.mark_done_many([FP_A], "rival")
+        backend.release(FP_A, "slow")
+        assert backend.read_lease(FP_A)["done"] is True
+        assert not claim(backend, FP_A, "third", 30.0)
+
     def test_active_tracks_live_leases_only(self, backend):
         assert claim(backend, FP_A, "a", 30.0)
         assert claim(backend, FP_B, "b", 300.0)
@@ -443,6 +462,22 @@ class TestFaultInjection:
         late = run_grid_worker(run, workers=1, worker_id="late",
                                lease_ttl_s=30.0, clock=backend.clock)
         assert late.executed == 1 and late.already_done == 3
+        assert canonical(merge_run(run)) == canonical(run_campaign(spec, workers=1))
+
+    def test_a_twin_releasing_finished_cells_reexecutes_nothing(self, backend):
+        """Two processes share one worker id; one releases every cell after
+        the other finished them.  The done markers stay, and a rejoining
+        worker executes nothing."""
+        spec = tiny_spec()
+        run = GridRun.create(spec, backend=backend, shard_count=1)
+        first = run_grid_worker(run, workers=1, worker_id="twin", clock=backend.clock)
+        assert first.executed == 4
+        fingerprints = [job.fingerprint() for job in spec.expand()]
+        for fingerprint in fingerprints:
+            backend.release(fingerprint, "twin")
+        assert all(backend.read_lease(fp)["done"] is True for fp in fingerprints)
+        again = run_grid_worker(run, workers=1, worker_id="late", clock=backend.clock)
+        assert again.executed == 0 and again.already_done == 4
         assert canonical(merge_run(run)) == canonical(run_campaign(spec, workers=1))
 
     def test_rejoining_a_different_spec_is_refused(self, backend):

@@ -537,6 +537,21 @@ class TestGridCli:
         assert "campaign plan (dry run)" in capsys.readouterr().out
         assert not fresh.exists()
 
+    def test_memory_backend_merges_like_the_in_process_campaign(self, tmp_path, capsys):
+        grid_out, local_out = tmp_path / "grid.json", tmp_path / "local.json"
+        assert main(self.ARGS + ["--backend", "memory://cli-merge",
+                                 "--output", str(grid_out)]) == 0
+        assert "run complete: 4/4 cells done" in capsys.readouterr().out
+        assert main(self.ARGS + ["--output", str(local_out)]) == 0
+        assert json.loads(grid_out.read_text()) == json.loads(local_out.read_text())
+
+    @pytest.mark.parametrize("url", ["s3://bucket/run", "gs://bucket"])
+    def test_cloud_backends_are_refused_with_guidance(self, url, capsys):
+        assert main(self.ARGS + ["--backend", url]) == 2
+        err = capsys.readouterr().err
+        assert "no object-store backend is bundled" in err
+        assert "--backend file" in err
+
     def test_status_on_missing_run_dir_fails(self, tmp_path, capsys):
         assert main(["campaign-status", str(tmp_path / "nope")]) == 2
         assert "not a grid run directory" in capsys.readouterr().err
