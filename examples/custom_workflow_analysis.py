@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Model analysis for a custom workflow: WFD-net construction, data-flow linting,
-and platform transcription.
+"""Model analysis for a custom workflow: WFD-net construction, resource-annotation
+checks, and platform transcription.
 
 This example does not run any experiment -- it shows the *model* side of
-SeBS-Flow: how a platform-agnostic definition is analysed for data-flow
-problems (missing/lost data, inconsistent resource annotations), how the
+SeBS-Flow: how a platform-agnostic definition is checked for data-access
+problems (data never written or read, inconsistent resource annotations), how the
 WFD-net model of the paper's Section 3 is built, and what the generated AWS
 Step Functions / Google Cloud Workflows / Azure Durable Functions artefacts
 look like.
@@ -22,7 +22,6 @@ from repro.core import (
     ModelBuilder,
     ResourceAnnotation,
     WorkflowDefinition,
-    analyse,
 )
 from repro.core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
 
@@ -89,8 +88,9 @@ def main() -> None:
     stats = builder.statistics()
     print(f"   statistics: {stats.as_row()}")
 
-    print("\n3. Data-flow analysis (anti-patterns and annotation consistency)")
-    print("   " + analyse(net).summary().replace("\n", "\n   "))
+    print("\n3. Data-access consistency (resource annotations)")
+    issues = net.check_consistency()
+    print("   " + ("\n   ".join(map(str, issues)) if issues else "no issues detected"))
 
     print("\n4. Platform transcription")
     aws = AWSTranscriber().transcribe(DEFINITION, {"batches": 8})

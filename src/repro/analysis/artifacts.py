@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import importlib
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -412,8 +413,70 @@ def _provenance(
     }
 
 
-def _default_text(data: object) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, default=str)
+def export_json(document: object) -> str:
+    """``json.dumps(document, indent=2, sort_keys=True, default=str)``, byte
+    for byte, from one recursive writer instead of json's pure-Python
+    indenting encoder.  A document with a shape the writer does not cover
+    (dict keys of mixed or other types, a value only ``default=str``
+    encodes, a cycle) goes to ``json.dumps`` whole."""
+    out: List[str] = []
+    try:
+        _write_json(document, out.append, "\n")
+    except (TypeError, RecursionError):
+        return json.dumps(document, indent=2, sort_keys=True, default=str)
+    return "".join(out)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(node: object, append: Callable[[str], None], newline: str) -> None:
+    """Append ``node``'s JSON text; ``newline`` is the line break plus the
+    indent of ``node``'s own level.  Each value is encoded as json encodes
+    it (float and int subclasses included); no JSON type can subclass
+    another but bool, so only ``True``/``False`` must come before ``int``.
+    A node json could only encode through ``default=str`` is a TypeError."""
+    if isinstance(node, float):
+        text = float.__repr__(node)
+        append(_NON_FINITE.get(text, text))
+    elif isinstance(node, dict):
+        if not node:
+            append("{}")
+            return
+        inner = newline + "  "
+        separator, comma = "{" + inner, "," + inner
+        # json sorts the keys as they are (mixed types raise), then turns
+        # int keys into text.
+        for key in sorted(node):
+            if type(key) is str:
+                append(separator + encode_basestring_ascii(key) + ": ")
+            elif type(key) is int:
+                append(separator + '"' + int.__repr__(key) + '": ')
+            else:
+                raise TypeError(f"unwritten key type {type(key).__name__}")
+            separator = comma
+            _write_json(node[key], append, inner)
+        append(newline + "}")
+    elif isinstance(node, str):
+        append(encode_basestring_ascii(node))
+    elif node is None or node is True or node is False:
+        append(_JSON_CONSTANTS[node])
+    elif isinstance(node, int):
+        append(int.__repr__(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            append("[]")
+            return
+        inner = newline + "  "
+        separator, comma = "[" + inner, "," + inner
+        for item in node:
+            append(separator)
+            separator = comma
+            _write_json(item, append, inner)
+        append(newline + "]")
+    else:
+        raise TypeError(f"unwritten value type {type(node).__name__}")
 
 
 def render_artifact(
@@ -450,7 +513,7 @@ def render_artifact(
         return rendered
     with span("artifact_render", artifact=spec.name):
         rendered.data = spec.build(campaign, config)
-        rendered.text = (spec.text or _default_text)(rendered.data)
+        rendered.text = (spec.text or export_json)(rendered.data)
     return rendered
 
 
@@ -478,9 +541,7 @@ def write_artifacts(
     written: List[Path] = []
     for name, artifact in rendered.items():
         json_path = out_path / f"{name}.json"
-        json_path.write_text(
-            json.dumps(artifact.document(), indent=2, sort_keys=True, default=str)
-        )
+        json_path.write_text(export_json(artifact.document()))
         text_path = out_path / f"{name}.txt"
         text_path.write_text(artifact.text + "\n")
         written.extend([json_path, text_path])

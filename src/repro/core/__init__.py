@@ -2,9 +2,9 @@
 
 This package implements the paper's primary contribution: the platform-agnostic
 serverless workflow model (WFD-nets extended with coordinators and resource
-annotations), the JSON workflow definition language, data-flow analysis, and
-the transcribers to the proprietary formats of AWS Step Functions, Google
-Cloud Workflows, and Azure Durable Functions.
+annotations), the JSON workflow definition language, and the transcribers to
+the proprietary formats of AWS Step Functions, Google Cloud Workflows, and
+Azure Durable Functions.
 """
 
 from .builder import DataItem, FunctionDataSpec, ModelBuilder, WorkflowStatistics, build_model
@@ -15,7 +15,6 @@ from .critical_path import (
     aggregate_breakdowns,
     scaling_profile,
 )
-from .dataflow import AntiPattern, DataFlowAnalyzer, DataFlowReport, analyse
 from .definition import WorkflowDefinition
 from .petri import Marking, PetriNet, PetriNetError, Place, Transition, WorkflowNet, sequence_net
 from .phases import (
@@ -34,11 +33,8 @@ from .phases import (
 from .wfdnet import ConsistencyIssue, DataAccess, ResourceAnnotation, TransitionKind, WFDNet
 
 __all__ = [
-    "AntiPattern",
     "ConsistencyIssue",
     "DataAccess",
-    "DataFlowAnalyzer",
-    "DataFlowReport",
     "DataItem",
     "DefinitionError",
     "FunctionDataSpec",
@@ -68,7 +64,6 @@ __all__ = [
     "WorkflowNet",
     "WorkflowStatistics",
     "aggregate_breakdowns",
-    "analyse",
     "build_model",
     "scaling_profile",
     "sequence_net",

@@ -82,7 +82,8 @@ CACHE_VERSION = 3
 #: 3: the ``result_to_dict`` row document (stamped with ``CACHE_VERSION``).
 #: 4: its ``result_to_columns`` encoding.  A reader that expects layout 3
 #: sees a layout-4 entry as a miss, never as an empty result.
-_ENTRY_LAYOUT = 4
+#: 5: the same, with all-float columns packed as base64 float64.
+_ENTRY_LAYOUT = 5
 
 #: Sentinel distinguishing "use the spec's first memory config" from an
 #: explicit ``None`` (= the benchmark's own memory configuration).
@@ -1101,8 +1102,11 @@ def run_cells(
                          attempts=max_retries + 1))
 
     if workers <= 1:
-        for job in jobs:
-            attempt(job)
+        # One pause over the serial loop, for the reason drive_cells' scan
+        # has one: each re-enable fires the deferred collection cascade.
+        with collector_paused():
+            for job in jobs:
+                attempt(job)
         return
 
     # Cells whose platform or era exists only in this process's registry

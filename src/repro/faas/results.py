@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
+from array import array
+from binascii import a2b_base64, b2a_base64
 from dataclasses import asdict
 from pathlib import Path
 from itertools import accumulate
@@ -215,9 +218,11 @@ def result_to_columns(document: Dict[str, object]) -> Dict[str, object]:
     workflow and platform names stored as indices into one interned
     ``names`` table; a ``measurements`` table of per-measurement heads, each
     counting its rows of ``functions``; and ``orchestration`` and
-    ``scaling_profile`` tables.  Floats stay JSON numbers, so the round trip
-    is bit-exact: ``result_to_dict(result_from_columns(result_to_columns(d)))
-    == d``.
+    ``scaling_profile`` tables.  A column whose values are all exactly
+    ``float`` is packed as ``{"f8": base64 of its little-endian float64s}``;
+    every other column stays a JSON array.  Both keep every float bit, so
+    the round trip is exact: ``result_to_dict(result_from_columns(
+    result_to_columns(d))) == d``.
     """
     names: Dict[str, int] = {}
 
@@ -239,13 +244,21 @@ def result_to_columns(document: Dict[str, object]) -> Dict[str, object]:
                         (orchestration, ("platform", "workflow"))):
         for key in keys:
             table[key] = interned(table[key])
+    profile = _columns(document["scaling_profile"], _PROFILE_FIELDS)  # type: ignore[arg-type]
+    for table in (functions, orchestration, profile):
+        for key, column in table.items():
+            if column and all(type(value) is float for value in column):
+                values = array("d", column)
+                if sys.byteorder == "big":
+                    values.byteswap()
+                table[key] = {"f8": b2a_base64(values.tobytes(), newline=False).decode()}
     encoded = {key: value for key, value in document.items() if key not in _NOT_IN_HEAD}
     encoded.update(
         names=list(names),
         measurements=heads,
         functions=functions,
         orchestration=orchestration,
-        scaling_profile=_columns(document["scaling_profile"], _PROFILE_FIELDS),  # type: ignore[arg-type]
+        scaling_profile=profile,
     )
     return encoded
 
@@ -254,20 +267,33 @@ def _columns(rows: Sequence[Dict[str, Any]], fields: Sequence[str]) -> Dict[str,
     return {key: [row[key] for row in rows] for key in fields}
 
 
-def _table(node: object, fields: Sequence[str], what: str) -> List[list]:
-    """The ``fields`` columns of a column table, all lists of one length.
+def _table(node: object, fields: Sequence[str], what: str) -> list:
+    """The ``fields`` columns of a column table, all of one length.
 
-    ``zip`` would silently truncate columns of unequal length, so a table
-    whose columns disagree is rejected here.
+    A packed float column decodes to an ``array`` of its floats.  ``zip``
+    would silently truncate columns of unequal length, so a table whose
+    columns disagree is rejected here.
     """
     table = _object(node, what)
-    columns = [table[key] for key in fields]
-    for column in columns:
-        if not isinstance(column, list):
-            raise TypeError(f"{what} columns must be JSON arrays")
+    columns = [_column(table[key], what) for key in fields]
     if len({len(column) for column in columns}) > 1:
         raise ValueError(f"{what} columns differ in length")
     return columns
+
+
+def _column(node: object, what: str) -> Union[list, array]:
+    if isinstance(node, list):
+        return node
+    if not (isinstance(node, dict) and node.keys() == {"f8"} and isinstance(node["f8"], str)):
+        raise TypeError(f"{what} columns must be JSON arrays or packed float columns")
+    raw = a2b_base64(node["f8"])
+    # Only the canonical text is valid: a2b_base64 skips stray characters.
+    if b2a_base64(raw, newline=False).decode() != node["f8"]:
+        raise ValueError(f"{what} holds a malformed packed float column")
+    values = array("d", raw)  # a ValueError unless whole float64s
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 #: What each layout's list reader hands the shared decode tail: the

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import DataItem, FunctionDataSpec, ModelBuilder, ResourceAnnotation, WorkflowDefinition
-from repro.core.dataflow import analyse
 
 
 def fig3_definition() -> WorkflowDefinition:
@@ -87,8 +86,7 @@ class TestWFDNetConstruction:
         builder = ModelBuilder(fig3_definition(), fig3_data_spec(), {"x": 2})
         net = builder.build_wfdnet()
         assert net.writers_of("x_0") or net.writers_of("x")
-        report = analyse(net)
-        assert not report.structural_problems
+        assert not net.validate_structure()
 
 
 class TestStatistics:

@@ -5,11 +5,14 @@ with ``result_from_columns``.  Nothing downstream may tell the difference:
 ``result_to_dict`` of the decoded result must be the original document, byte
 for byte as sorted-key JSON, for every benchmark and platform, open-loop
 cells included; arbitrary float values decode exactly as from the row
-document.  The entry layout is versioned
-apart from ``CACHE_VERSION``, so a layout change moves no fingerprint.
+document, also from packed float64 columns, and a packed column that does
+not decode is a miss.  The entry layout is versioned apart from
+``CACHE_VERSION``, so a layout change moves no fingerprint.
 """
 
 import json
+import struct
+from binascii import a2b_base64, b2a_base64
 
 import pytest
 from hypothesis import given, settings
@@ -230,3 +233,85 @@ def test_a_deeply_nested_entry_is_a_miss(tmp_path):
     assert _canonical(rerun.to_dict(include_results=True)["cells"]) == \
         _canonical(first.to_dict(include_results=True)["cells"])
     assert probe_cache(tmp_path, job)
+
+
+# --------------------------------------------------------- packed float columns
+#: Floats whose text form is easiest to get wrong: the sign of zero, the
+#: smallest subnormal, a huge value, and the three non-finite values.
+_SPECIAL_FLOATS = [-0.0, 5e-324, 1.5e300, float("nan"), float("inf"), float("-inf")]
+
+
+def _unchecked_float_sites(document):
+    """Float fields no decoder validates: orchestration timestamps and
+    scaling-profile times."""
+    for entry in document["orchestration"]:
+        yield entry, "started_at"
+        yield entry, "finished_at"
+    for sample in document["scaling_profile"]:
+        yield sample, "time"
+
+
+def test_packed_columns_keep_every_float_bit(poisson_document):
+    document = json.loads(json.dumps(poisson_document))
+    sites = list(_unchecked_float_sites(document))
+    assert len(sites) >= len(_SPECIAL_FLOATS)
+    for index, (node, key) in enumerate(sites):
+        node[key] = _SPECIAL_FLOATS[index % len(_SPECIAL_FLOATS)]
+    encoded = result_to_columns(document)
+    for table, column in (("functions", "start"), ("functions", "end"),
+                          ("orchestration", "started_at"), ("scaling_profile", "time")):
+        assert set(encoded[table][column]) == {"f8"}, (table, column)
+    decoded = result_to_dict(result_from_columns(json.loads(json.dumps(encoded))))
+    expected = [struct.pack("<d", node[key]) for node, key in sites]
+    assert [struct.pack("<d", node[key])
+            for node, key in _unchecked_float_sites(decoded)] == expected
+    assert _canonical(decoded["measurements"]) == _canonical(document["measurements"])
+
+
+def test_a_column_holding_an_int_stays_a_json_array(chain_document):
+    document = json.loads(json.dumps(chain_document))
+    document["scaling_profile"][0]["containers"] = 3
+    encoded = result_to_columns(document)
+    assert isinstance(encoded["scaling_profile"]["containers"], list)
+    assert isinstance(encoded["scaling_profile"]["time"], dict)
+    decoded = result_to_dict(result_from_columns(json.loads(json.dumps(encoded))))
+    assert _canonical(decoded) == _canonical(result_to_dict(result_from_dict(document)))
+    assert type(decoded["scaling_profile"][0]["containers"]) is int
+
+
+def _reencoded(f8, edit):
+    return b2a_base64(edit(a2b_base64(f8)), newline=False).decode()
+
+
+#: Packed columns that must not decode.
+MALFORMED_PACKED = {
+    "bad_base64": lambda column: column.update(f8="!" + column["f8"][1:]),
+    "stray_character": lambda column: column.update(f8=column["f8"][:4] + " " + column["f8"][4:]),
+    "truncated_text": lambda column: column.update(f8=column["f8"][:-1]),
+    "not_whole_float64s": lambda column: column.update(
+        f8=_reencoded(column["f8"], lambda raw: raw[:-1])),
+    "extra_key": lambda column: column.update(extra=1),
+    "f8_missing": lambda column: column.pop("f8"),
+    "f8_not_a_string": lambda column: column.update(f8=[0.0]),
+}
+
+
+@pytest.fixture(scope="module")
+def cached_entry(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("cache")
+    run_campaign(_spec(), workers=1, cache_dir=cache)
+    [job] = _spec().expand()
+    return _cache_path(cache, job).read_text()
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_PACKED))
+@pytest.mark.parametrize("column", [("functions", "end"), ("scaling_profile", "time")])
+def test_a_malformed_packed_column_is_a_cache_miss(cached_entry, tmp_path, shape, column):
+    entry = json.loads(cached_entry)
+    table, key = column
+    MALFORMED_PACKED[shape](entry["result"][table][key])
+    with pytest.raises(DECODE_ERRORS):
+        result_from_columns(entry["result"])
+    [job] = _spec().expand()
+    _cache_path(tmp_path, job).write_text(json.dumps(entry))
+    assert not probe_cache(tmp_path, job)

@@ -64,12 +64,16 @@ def _short_chunk(payloads):
 MALFORMED_RESULTS = {
     "platform_spec": lambda document: document["config"].update(platform_spec="aws"),
     "orchestration": lambda document: document.update(orchestration=["x"]),
-    # Column-layout entries: a name index past the name table, and a column
-    # one row short of its table (zip would silently drop the last row).
+    # Column-layout entries: a name index past the name table, a column
+    # one row short of its table (zip would silently drop the last row), and
+    # a packed float column whose base64 text lost its last character.
     "name_index": lambda document: document["functions"]["phase"].__setitem__(
         0, len(document["names"])
     ),
-    "ragged_column": lambda document: document["functions"]["end"].pop(),
+    "ragged_column": lambda document: document["functions"]["request_id"].pop(),
+    "truncated_float_column": lambda document: document["functions"]["end"].update(
+        f8=document["functions"]["end"]["f8"][:-1]
+    ),
 }
 
 
@@ -702,7 +706,7 @@ class TestPlatformSpecSweep:
         path = _cache_path(tmp_path, job)
         document = json.loads(path.read_text())
         assert CACHE_VERSION == 3
-        assert document["version"] == _ENTRY_LAYOUT == 4
+        assert document["version"] == _ENTRY_LAYOUT == 5
         document["version"] = 2
         path.write_text(json.dumps(document))
         rerun = run_campaign(spec, workers=1, cache_dir=tmp_path)

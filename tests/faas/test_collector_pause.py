@@ -18,7 +18,9 @@ import pytest
 from repro.benchmarks.registry import ALL_BENCHMARKS
 from repro.faas import CampaignSpec, GridRun, MemoryBackend, merge_run, run_grid_worker
 from repro.faas import grid as grid_module
-from repro.faas.campaign import collector_paused, drive_cells, execute_job_inline, run_campaign
+from repro.faas.campaign import (
+    collector_paused, drive_cells, execute_job_inline, run_campaign, run_cells,
+)
 from repro.faas.results import result_from_columns, result_from_dict, result_to_columns
 
 SPEC = CampaignSpec(
@@ -153,4 +155,25 @@ def test_a_merge_restores_the_callers_collector_state(caller_state, monkeypatch)
     monkeypatch.setattr(grid_module, "result_from_dict", decoder_fails)
     with pytest.raises(RuntimeError, match="decoder failed"):
         merge_run(run)
+    assert gc.isenabled() is caller_state
+
+
+def test_the_serial_loop_runs_paused_and_restores_the_callers_state(caller_state):
+    """One pause spans the whole serial loop, the sink included, so the
+    collector is off when a cell settles; a raising cell or sink leaves
+    the caller's state as it was."""
+    jobs = CampaignSpec(benchmarks=("function_chain", "no_such_benchmark"),
+                        platforms=("aws",), seeds=(0,), burst_size=2).expand()
+    settled, failures = [], []
+    run_cells(jobs, 1, lambda cells: settled.append(gc.isenabled()), failures.append,
+              max_retries=0)
+    assert settled == [False]
+    assert [failure.job.benchmark for failure in failures] == ["no_such_benchmark"]
+    assert gc.isenabled() is caller_state
+
+    def sink_fails(cells):
+        raise RuntimeError("sink failed")
+
+    with pytest.raises(RuntimeError, match="sink failed"):
+        run_cells(jobs, 1, sink_fails, failures.append, max_retries=0)
     assert gc.isenabled() is caller_state
