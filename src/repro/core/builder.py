@@ -284,12 +284,12 @@ class ModelBuilder:
         spec = self._data_spec.get(func)
         if spec is None:
             return
-        for item in spec.reads:
-            element = item.element if width == 1 else f"{item.element}_{replica}"
-            net.add_read(transition, element, item.annotation, item.size_bytes // max(1, width))
-        for item in spec.writes:
-            element = item.element if width == 1 else f"{item.element}_{replica}"
-            net.add_write(transition, element, item.annotation, item.size_bytes // max(1, width))
+        for items, add in ((spec.reads, net.add_read), (spec.writes, net.add_write)):
+            for item in items:
+                element = item.element if width == 1 else f"{item.element}_{replica}"
+                if width > 1:
+                    net.replica_of[element] = item.element
+                add(transition, element, item.annotation, item.size_bytes // max(1, width))
 
     # -------------------------------------------------------------- statistics
     def statistics(self) -> WorkflowStatistics:

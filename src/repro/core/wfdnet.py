@@ -112,6 +112,8 @@ class WFDNet(WorkflowNet):
     def __init__(self, source: str = "start", sink: str = "end") -> None:
         super().__init__(source=source, sink=sink)
         self.data_elements: Set[str] = set()
+        #: A map phase's per-replica element -> the array element it slices.
+        self.replica_of: Dict[str, str] = {}
         self._transition_data: Dict[str, TransitionData] = {}
 
     # ------------------------------------------------------------------ build
@@ -231,19 +233,23 @@ class WFDNet(WorkflowNet):
           via a different one (transparent matches anything).
         * ``destroyed-then-read`` -- an element is destroyed by a transition
           that precedes (topologically) a reader.
+
+        A map replica's element counts as its array's (:attr:`replica_of`):
+        the phase before a map writes the whole array, each replica reads
+        and writes its own slice, and the phase after reads the whole array.
         """
         issues: List[ConsistencyIssue] = []
         writers: Dict[str, List[Tuple[str, DataAccess]]] = {}
         readers: Dict[str, List[Tuple[str, DataAccess]]] = {}
         for transition, data in self._transition_data.items():
             for element, access in data.writes.items():
-                writers.setdefault(element, []).append((transition, access))
+                writers.setdefault(self._array(element), []).append((transition, access))
             for element, access in data.reads.items():
-                readers.setdefault(element, []).append((transition, access))
+                readers.setdefault(self._array(element), []).append((transition, access))
 
         order = self._topological_index()
 
-        for element in sorted(self.data_elements):
+        for element in sorted(set(map(self._array, self.data_elements))):
             element_writers = writers.get(element, [])
             element_readers = readers.get(element, [])
 
@@ -296,7 +302,7 @@ class WFDNet(WorkflowNet):
                         )
 
             for destroyer, data in self._transition_data.items():
-                if element not in data.destroys:
+                if element not in map(self._array, data.destroys):
                     continue
                 for read_transition, _ in element_readers:
                     if order.get(destroyer, 0) < order.get(read_transition, 0):
@@ -310,28 +316,28 @@ class WFDNet(WorkflowNet):
                         )
         return issues
 
+    def _array(self, element: str) -> str:
+        return self.replica_of.get(element, element)
+
     def _is_entry_transition(self, transition: str) -> bool:
-        """True if the transition consumes (transitively) only from the source place."""
-        preset = self.preset(transition)
-        if self.source in preset:
-            return True
-        # One coordinator away from the source also counts as entry.
-        for place in preset:
-            for predecessor in self.place_preset(place):
-                if self.transition_kind(predecessor) is TransitionKind.COORDINATOR:
-                    if self.source in self.preset(predecessor):
-                        return True
-        return False
+        """True if only coordinators stand between the source and the transition."""
+        return self._behind_coordinators(transition, self.source, self.preset, self.place_preset)
 
     def _is_exit_transition(self, transition: str) -> bool:
-        postset = self.postset(transition)
-        if self.sink in postset:
-            return True
-        for place in postset:
-            for successor in self.place_postset(place):
-                if self.transition_kind(successor) is TransitionKind.COORDINATOR:
-                    if self.sink in self.postset(successor):
-                        return True
+        """True if only coordinators stand between the transition and the sink."""
+        return self._behind_coordinators(transition, self.sink, self.postset, self.place_postset)
+
+    def _behind_coordinators(self, transition: str, end: str, places_of, transitions_of) -> bool:
+        frontier, seen = [transition], {transition}
+        while frontier:
+            for place in places_of(frontier.pop()):
+                if place == end:
+                    return True
+                for neighbour in transitions_of(place):
+                    if neighbour not in seen and \
+                            self.transition_kind(neighbour) is TransitionKind.COORDINATOR:
+                        seen.add(neighbour)
+                        frontier.append(neighbour)
         return False
 
     def _topological_index(self) -> Dict[str, int]:

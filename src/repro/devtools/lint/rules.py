@@ -22,9 +22,9 @@ R007 event-handler-purity    callbacks registered on engine events (and the
                              stay pure: no ambient RNG/clock draws, no module
                              globals
 R008 backend-protocol        every ``GridBackend`` implementation defines the
-                             full lease/record/manifest protocol with matching
-                             signatures, and filesystem access stays inside
-                             ``FileBackend``
+                             full lease-storage/record/manifest protocol with
+                             matching signatures, and filesystem access stays
+                             inside ``FileBackend``
 R009 telemetry-purity        metric/span calls never run inside event-handler
                              bodies (the engine is instrumented only through
                              the external ``set_monitor`` seam), and nothing
@@ -741,13 +741,14 @@ class EventHandlerPurityRule(Rule):
 class BackendProtocolRule(Rule):
     """``GridBackend`` implementations honour the protocol, medium included.
 
-    The grid worker/merge logic is written against the nine-method backend
-    contract (:mod:`repro.faas.backends.base`); an implementation that skips
-    a method, or renames its parameters, fails at runtime in whichever
-    distributed code path happens to hit it first.  This rule catches both at
-    lint time: every class with a ``GridBackend`` base must define the full
-    protocol with the protocol's positional parameter names (extra trailing
-    or keyword-only parameters are fine -- backends may grow options).
+    The lease calls live once on the base class, over the storage contract
+    of :mod:`repro.faas.backends.base`; an implementation that skips a
+    storage, record or manifest method, or renames its parameters, fails at
+    runtime in whichever distributed code path happens to hit it first.
+    This rule catches both at lint time: every class with a ``GridBackend``
+    base must define the full storage protocol with the protocol's
+    positional parameter names (extra trailing or keyword-only parameters
+    are fine -- backends may grow options).
 
     The second half guards the abstraction itself: the whole point of the
     backend split is that only :class:`~repro.faas.backends.file.FileBackend`
@@ -761,19 +762,19 @@ class BackendProtocolRule(Rule):
     rule_id = "R008"
     name = "backend-protocol"
     description = (
-        "GridBackend implementations define the full claim_many/renew/"
-        "mark_done_many/release/active/append_records/iter_records/read_manifest/"
-        "write_manifest protocol with matching signatures; filesystem access "
-        "stays inside FileBackend"
+        "GridBackend implementations define the full read_lease/create_lease/"
+        "replace_lease/delete_lease/lease_keys/append_records/iter_records/"
+        "read_manifest/write_manifest protocol with matching signatures; "
+        "filesystem access stays inside FileBackend"
     )
 
     #: The protocol: method name -> exact positional parameter names.
     PROTOCOL: Mapping[str, Tuple[str, ...]] = {
-        "claim_many": ("self", "fingerprints", "worker_id", "ttl_s"),
-        "renew": ("self", "fingerprint", "worker_id", "ttl_s"),
-        "mark_done_many": ("self", "fingerprints", "worker_id"),
-        "release": ("self", "fingerprint", "worker_id"),
-        "active": ("self",),
+        "read_lease": ("self", "fingerprint"),
+        "create_lease": ("self", "fingerprint", "staged"),
+        "replace_lease": ("self", "fingerprint", "staged", "expected"),
+        "delete_lease": ("self", "fingerprint", "expected"),
+        "lease_keys": ("self",),
         "append_records": ("self", "shard", "worker_id", "lines"),
         "iter_records": ("self", "shard"),
         "read_manifest": ("self",),

@@ -1,8 +1,8 @@
 """Shared-filesystem grid backend: the original run-directory semantics.
 
-This is the PR-4 coordination layer, verbatim, behind the
-:class:`~repro.faas.backends.base.GridBackend` protocol: atomic hard-link
-claims, tombstone-rename reclaims, per-worker JSONL result segments, and an
+The medium behind the :class:`~repro.faas.backends.base.GridBackend`
+protocol's lease storage operations -- hard-link creates, tombstone-rename
+replaces and deletes -- plus per-worker JSONL result segments and an
 exclusively-linked manifest.  Any directory workers can all reach (local
 disk, NFS, a synced volume) works; every operation is a plain file read,
 append, link, or rename, so there is no coordinator process.
@@ -26,11 +26,12 @@ from __future__ import annotations
 import json
 import os
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
 from ..results import ResultLog, parse_json_object, write_in_directory
-from .base import GridBackend, _batch, _renewable, _safe_worker_id, _wall_clock
+from .base import ANY, GridBackend, _batch, _safe_worker_id, _wall_clock
 
 #: The run manifest's file name under the backend root.
 MANIFEST_NAME = "grid.json"
@@ -48,25 +49,19 @@ def _unique_token() -> str:
 class FileBackend(GridBackend):
     """File-based TTL leases and result logs over a shared run directory.
 
-    A claim batch writes one uniquely named ``{worker, deadline}`` file and
-    atomically hard-links it onto each ``<fingerprint>.lease`` -- ``link(2)``
-    fails if the target exists, so exactly one contender wins each cell no
-    matter how many workers race.  Reclaiming an expired lease first renames
-    it onto a unique tombstone; the rename succeeds for exactly one
-    contender, so two workers never both adopt the same crashed worker's
-    cell.  A release sweeps the same way and puts back a rival's reclaim.
-    The leases of one batch share an inode, so a lease is never written in
-    place: renewals and done markers are fresh files renamed over it.
-
-    A worker that merely stalls past its TTL is *not* fenced: its cell may be
-    re-executed elsewhere.  That is safe here -- cells are deterministic and
-    the merge step deduplicates by fingerprint -- so the backend prefers
-    availability over exclusivity.
-
-    A finished cell's lease becomes a permanent *done marker*
-    (:meth:`mark_done_many`): unlike a released or expired lease it can
-    never be claimed again, so workers whose startup scan predates the
-    completion do not re-execute cells that are already in the logs.
+    Lease storage over ``leases/<fingerprint>.lease``: *create if absent*
+    hard-links a staged file onto the lease -- ``link(2)`` fails if the
+    target exists, so exactly one contender wins -- and a batch stages one
+    file for all its leases, which therefore share an inode and are never
+    written in place.  *Replace* or *delete if unchanged* renames the lease
+    onto a unique tombstone (exactly one contender's rename succeeds) and
+    compares what it took with the expected document, linking a changed
+    lease back; a replace then links the staged file in.  Marking done,
+    unconditional, links the staged file to a temp name and renames that
+    over the lease.  A create can take the slot a tombstone emptied before
+    the replace's link or the put-back lands; that lease then wins, and the
+    cell may run twice -- safe, like a worker that stalls past its TTL:
+    cells are deterministic and the merge deduplicates by fingerprint.
 
     Construction never touches the disk -- opening a missing run must fail
     cleanly and a dry run must not create directories -- so directories are
@@ -89,146 +84,71 @@ class FileBackend(GridBackend):
     def describe(self) -> str:
         return str(self.root)
 
-    # -- leases --------------------------------------------------------------
+    # -- lease storage -------------------------------------------------------
     def _lease_path(self, fingerprint: str) -> Path:
         return self.leases_dir / f"{fingerprint}.lease"
 
-    def _write_shared(self, worker_id: str, document: Dict[str, object]) -> Path:
-        """A private temp file holding ``document``, to link onto a batch of leases."""
-        temp = self.leases_dir / f".batch.{worker_id}.{_unique_token()}.tmp"
-        text = json.dumps(document)
-        write_in_directory(self.leases_dir, lambda: temp.write_text(text))
-        return temp
-
-    def _claim_document(self, worker_id: str, ttl_s: float) -> Dict[str, object]:
-        return {"worker": worker_id, "deadline": self.clock() + ttl_s}
-
-    def claim_many(
-        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
-    ) -> List[bool]:
-        if not _batch(fingerprints):
-            return []
-        shared = self._write_shared(worker_id, self._claim_document(worker_id, ttl_s))
+    @staticmethod
+    def _read(path: Path) -> Optional[Dict[str, object]]:
         try:
-            return [self._claim(fingerprint, shared) for fingerprint in fingerprints]
+            return parse_json_object(path.read_bytes())
+        except OSError:
+            return None
+
+    def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
+        return self._read(self._lease_path(fingerprint))
+
+    @contextmanager
+    def staged_lease(self, document: Dict[str, object], worker_id: str) -> Iterator[Path]:
+        shared = self.leases_dir / f".batch.{worker_id}.{_unique_token()}.tmp"
+        text = json.dumps(document)
+        write_in_directory(self.leases_dir, lambda: shared.write_text(text))
+        try:
+            yield shared
         finally:
             shared.unlink(missing_ok=True)
 
-    def _claim(self, fingerprint: str, shared: Path) -> bool:
-        """Link ``shared`` onto one lease; reclaim it if expired."""
-        path = self._lease_path(fingerprint)
+    def create_lease(self, fingerprint: str, staged: Path) -> bool:
         try:
-            os.link(shared, path)
-            self._record_op("claim")
-            return True
+            os.link(staged, self._lease_path(fingerprint))
         except FileExistsError:
-            pass
-        holder = self.read_lease(fingerprint)
-        if holder is not None and holder.get("done"):
-            self._record_op("claim_conflict")
-            return False  # the cell is finished and logged; never re-claim
-        if holder is not None and float(holder.get("deadline", 0)) >= self.clock():
-            self._record_op("claim_conflict")
-            return False  # live lease held by someone else
-        # Expired or unreadable: tombstone-rename it out of the way; exactly
-        # one contender's rename succeeds.  A rival's fresh claim (or done
-        # marker) linked since our read is restored, and we back off.
-        if self._sweep(fingerprint, lambda swept: (
-            swept.get("done") or float(swept.get("deadline", 0)) >= self.clock()
-        )):
-            try:
-                os.link(shared, path)
-                self._record_op("reclaim")
-                return True
-            except FileExistsError:
-                pass  # a rival claimed between the rename and link
-        self._record_op("claim_conflict")
-        return False
+            return False
+        return True
 
-    def _sweep(self, fingerprint: str, keep: Callable[[Dict[str, object]], object]) -> bool:
-        """Tombstone-rename a lease away unless what the rename took is ``keep``.
+    def replace_lease(self, fingerprint: str, staged: Path, expected: object) -> bool:
+        if expected is not ANY:
+            return self._take(fingerprint, expected) and self.create_lease(fingerprint, staged)
+        # link + rename: link(2) cannot replace an existing lease, rename(2)
+        # replaces it atomically.
+        temp = staged.with_name(f".{fingerprint}{staged.name}")
+        os.link(staged, temp)
+        os.replace(temp, self._lease_path(fingerprint))
+        return True
 
-        True when the slot was emptied (or already was).  A kept lease is
-        linked back; if a third contender took the slot in between, the
-        kept lease is lost -- its holder's next renew fails and the cell may
-        run twice, which the merge deduplicates.
-        """
+    def delete_lease(self, fingerprint: str, expected: object) -> bool:
+        return self._take(fingerprint, expected)
+
+    def _take(self, fingerprint: str, expected: object) -> bool:
+        """Tombstone-rename the lease away if it still reads ``expected``."""
         path = self._lease_path(fingerprint)
         tombstone = self.leases_dir / f".{fingerprint}.swept.{_unique_token()}"
         try:
             os.rename(path, tombstone)
         except FileNotFoundError:
-            return True  # the holder released, or a rival tombstoned it first
-        try:
-            swept = parse_json_object(tombstone.read_bytes())
-        except OSError:
-            swept = None
-        restore = swept is not None and bool(keep(swept))
-        if restore:
+            return expected is None
+        taken = self._read(tombstone)
+        if taken != expected:
             try:
                 os.link(tombstone, path)
             except FileExistsError:
-                pass  # a third claim already took the slot
+                pass  # a third contender took the slot
         tombstone.unlink(missing_ok=True)
-        return not restore
+        return taken == expected
 
-    def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
-        try:
-            document = json.loads(self._lease_path(fingerprint).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        return document if isinstance(document, dict) else None
-
-    def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        if not _renewable(self.read_lease(fingerprint), worker_id):
-            self._record_op("renew_lost")
-            return False
-        # A fresh file, not an in-place write: the old inode may back
-        # batch-mates' leases too.
-        temp = self._write_shared(worker_id, self._claim_document(worker_id, ttl_s))
-        os.replace(temp, self._lease_path(fingerprint))
-        self._record_op("renew")
-        return True
-
-    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
-        if not _batch(fingerprints):
-            return
-        shared = self._write_shared(worker_id, {"worker": worker_id, "done": True})
-        try:
-            for fingerprint in fingerprints:
-                # link + rename: link(2) cannot replace an existing lease,
-                # rename(2) replaces it atomically.
-                temp = shared.with_name(f".{fingerprint}{shared.name}")
-                os.link(shared, temp)
-                os.replace(temp, self._lease_path(fingerprint))
-                self._record_op("mark_done")
-        finally:
-            shared.unlink(missing_ok=True)
-
-    def release(self, fingerprint: str, worker_id: str) -> None:
-        if not _renewable(self.read_lease(fingerprint), worker_id):
-            return  # a rival's lease, or a done marker: never ours to drop
-        # Not a plain unlink: a rival may reclaim the lease, or a worker
-        # sharing our id finish the cell, after our read, so the sweep puts
-        # back whatever is not our live lease.
-        if self._sweep(fingerprint, lambda swept: not _renewable(swept, worker_id)):
-            self._record_op("release")
-
-    def active(self) -> Dict[str, Dict[str, object]]:
-        now = self.clock()
-        leases: Dict[str, Dict[str, object]] = {}
+    def lease_keys(self) -> List[str]:
         if not self.leases_dir.is_dir():
-            return leases
-        for path in sorted(self.leases_dir.glob("*.lease")):
-            try:
-                document = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(document, dict):
-                continue
-            if float(document.get("deadline", 0)) >= now:
-                leases[path.stem] = document
-        return leases
+            return []
+        return sorted(path.stem for path in self.leases_dir.glob("*.lease"))
 
     # -- result records ------------------------------------------------------
     def shard_log(self, shard: int, worker_id: str) -> ResultLog:

@@ -1,9 +1,10 @@
 """In-process grid backend: Redis-style dict store with an injectable clock.
 
 One lock, three dicts.  Single-host elastic workers (threads sharing a
-backend instance) and tests coordinate through it with the exact lease
-semantics of the file backend -- exclusivity, expiry reclaim, done
-permanence -- but at memory speed and with zero filesystem footprint.
+backend instance) and tests coordinate through it with the lease protocol
+every backend shares -- its storage operations are plain dict updates made
+conditional under the lock -- at memory speed and with zero filesystem
+footprint.
 
 State lives in the backend *instance*: workers must share the object (or
 fetch the same named instance from :func:`memory_backend`, which is what
@@ -20,7 +21,7 @@ import threading
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..results import parse_json_object
-from .base import GridBackend, _batch, _renewable, _wall_clock
+from .base import ANY, GridBackend, _batch, _wall_clock
 
 
 class MemoryBackend(GridBackend):
@@ -39,85 +40,39 @@ class MemoryBackend(GridBackend):
     def describe(self) -> str:
         return f"memory:{self.name}"
 
-    # -- leases --------------------------------------------------------------
-    def _holder(self, fingerprint: str) -> Optional[Dict[str, object]]:
+    # -- lease storage -------------------------------------------------------
+    def _read(self, fingerprint: str) -> Optional[Dict[str, object]]:
         raw = self._leases.get(fingerprint)
-        if raw is None:
-            return None
-        document = json.loads(raw)
-        return document if isinstance(document, dict) else None
-
-    def claim_many(
-        self, fingerprints: Sequence[str], worker_id: str, ttl_s: float
-    ) -> List[bool]:
-        with self._lock:
-            return [self._claim(fingerprint, worker_id, ttl_s)
-                    for fingerprint in _batch(fingerprints)]
-
-    def _claim(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
-        holder = self._holder(fingerprint)
-        if holder is not None:
-            if holder.get("done"):
-                self._record_op("claim_conflict")
-                return False  # finished and logged; never re-claim
-            if float(holder.get("deadline", 0)) >= self.clock():
-                self._record_op("claim_conflict")
-                return False  # live lease held by someone else
-        # Expired, unreadable, or absent: the caller holds the lock, so the
-        # read-check-write is atomic and exactly one contender wins.
-        self._leases[fingerprint] = json.dumps({
-            "fingerprint": fingerprint,
-            "worker": worker_id,
-            "deadline": self.clock() + ttl_s,
-        })
-        self._record_op("reclaim" if holder is not None else "claim")
-        return True
+        return None if raw is None else parse_json_object(raw)
 
     def read_lease(self, fingerprint: str) -> Optional[Dict[str, object]]:
         with self._lock:
-            return self._holder(fingerprint)
+            return self._read(fingerprint)
 
-    def renew(self, fingerprint: str, worker_id: str, ttl_s: float) -> bool:
+    def create_lease(self, fingerprint: str, staged: Dict[str, object]) -> bool:
         with self._lock:
-            if not _renewable(self._holder(fingerprint), worker_id):
-                self._record_op("renew_lost")
+            if fingerprint in self._leases:
                 return False
-            self._leases[fingerprint] = json.dumps({
-                "fingerprint": fingerprint,
-                "worker": worker_id,
-                "deadline": self.clock() + ttl_s,
-            })
-            self._record_op("renew")
+            self._leases[fingerprint] = json.dumps(staged)
             return True
 
-    def mark_done_many(self, fingerprints: Sequence[str], worker_id: str) -> None:
+    def replace_lease(self, fingerprint: str, staged: Dict[str, object], expected: object) -> bool:
         with self._lock:
-            for fingerprint in _batch(fingerprints):
-                self._leases[fingerprint] = json.dumps({
-                    "fingerprint": fingerprint,
-                    "worker": worker_id,
-                    "done": True,
-                })
-                self._record_op("mark_done")
+            if expected is not ANY and self._read(fingerprint) != expected:
+                return False
+            self._leases[fingerprint] = json.dumps(staged)
+            return True
 
-    def release(self, fingerprint: str, worker_id: str) -> None:
+    def delete_lease(self, fingerprint: str, expected: object) -> bool:
         with self._lock:
-            if not _renewable(self._holder(fingerprint), worker_id):
-                return  # a rival's lease, or a done marker: never ours to drop
+            if self._read(fingerprint) != expected:
+                return False
             self._leases.pop(fingerprint, None)
-            self._record_op("release")
+            return True
 
-    def active(self) -> Dict[str, Dict[str, object]]:
-        now = self.clock()
-        leases: Dict[str, Dict[str, object]] = {}
+    def lease_keys(self) -> List[str]:
         with self._lock:
-            for fingerprint in sorted(self._leases):
-                document = self._holder(fingerprint)
-                if document is None:
-                    continue
-                if float(document.get("deadline", 0)) >= now:
-                    leases[str(document.get("fingerprint", fingerprint))] = document
-        return leases
+            return sorted(self._leases)
 
     # -- result records ------------------------------------------------------
     def append_records(self, shard: int, worker_id: str, lines: Sequence[str]) -> None:

@@ -129,12 +129,8 @@ class LeaseQueue:
     """One worker's view of a backend's TTL leases.
 
     Binds a worker identity and TTL to a :class:`GridBackend`, so call sites
-    deal in fingerprints only.
-
-    The lease *semantics* -- atomic claims, one-winner expiry reclaim,
-    permanent done markers, availability over exclusivity -- are the
-    backend's contract; see :class:`~repro.faas.backends.base.GridBackend`
-    and the per-backend docs.
+    deal in fingerprints only.  What each call does to a lease is decided in
+    one place for every backend: :func:`~repro.faas.backends.base.decide`.
     """
 
     def __init__(
@@ -167,27 +163,15 @@ class LeaseQueue:
         return self.backend.read_lease(fingerprint)
 
     def renew(self, fingerprint: str) -> bool:
-        """Heartbeat: push our lease's deadline out by another TTL.
-
-        Returns False -- without touching the lease -- when it is no longer
-        ours: a worker that stalled past its TTL and was reclaimed must not
-        clobber the reclaimer's live claim, and a done marker stays done.
-        """
+        """Heartbeat; False, leaving the lease alone, once it is not ours."""
         return self.backend.renew(fingerprint, self.worker_id, self.ttl_s)
 
     def mark_done_many(self, fingerprints: Sequence[str]) -> None:
-        """Replace each lease with a permanent done marker.
-
-        The cells' results are in the logs, so no later claim should ever
-        succeed: a worker whose startup scan predates this completion would
-        otherwise find the lease gone, reclaim the cell, and recompute it.
-        The markers are written unconditionally -- even if a lease was
-        reclaimed from us mid-cell, the cell *is* done.
-        """
+        """Replace each lease with a permanent done marker, whoever holds it."""
         self.backend.mark_done_many(fingerprints, self.worker_id)
 
     def release(self, fingerprint: str) -> None:
-        """Drop our lease; a rival's claim (after reclaiming us) is left alone."""
+        """Drop our lease; a rival's claim and a done marker stay."""
         self.backend.release(fingerprint, self.worker_id)
 
     def active(self) -> Dict[str, Dict[str, object]]:

@@ -1,8 +1,22 @@
 """Tests for WFD-nets: data elements, resource annotations, consistency checks."""
 
+import dataclasses
+import importlib.util
+import pathlib
+
 import pytest
 
+from repro.core import DataItem, ModelBuilder
 from repro.core.wfdnet import ResourceAnnotation, TransitionKind, WFDNet
+
+EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"
+
+
+def example_module(name: str):
+    spec = importlib.util.spec_from_file_location(name, EXAMPLES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_linear_net() -> WFDNet:
@@ -130,3 +144,30 @@ class TestConsistencyChecks:
         net.add_read("process", "x", ResourceAnnotation.OBJECT_STORAGE, 10)
         issues = net.check_consistency()
         assert any(issue.kind == "destroyed-then-read" for issue in issues)
+
+
+class TestMapPhaseConsistency:
+    """A map phase's replicas read and write their own slices of an array
+    that the phases around the map write and read whole."""
+
+    @staticmethod
+    def etl_net(data_spec=None):
+        etl = example_module("custom_workflow_analysis")
+        builder = ModelBuilder(etl.DEFINITION, data_spec or etl.DATA_SPEC,
+                               array_sizes={"batches": 8})
+        return etl, builder.build_wfdnet()
+
+    def test_the_example_etl_definition_is_consistent(self):
+        _, net = self.etl_net()
+        assert net.replica_of["batches_3"] == "batches"
+        assert net.check_consistency() == []
+
+    def test_a_replica_reading_an_element_nobody_writes_is_flagged(self):
+        etl, _ = self.etl_net()
+        clean = etl.DATA_SPEC["clean_batch"]
+        planted = dataclasses.replace(clean, reads=[
+            *clean.reads, DataItem("ghost", ResourceAnnotation.NOSQL, 10)])
+        _, net = self.etl_net({**etl.DATA_SPEC, "clean_batch": planted})
+        issues = net.check_consistency()
+        assert {(issue.kind, issue.element) for issue in issues} == {("never-written", "ghost")}
+        assert len(issues) == 8  # one per replica

@@ -216,17 +216,17 @@ class TestR008BackendProtocol:
         assert all(f.rule_id == "R008" for f in findings)
         # IncompleteBackend: two missing protocol methods.
         assert any(
-            "'IncompleteBackend' is missing protocol method renew" in m
+            "'IncompleteBackend' is missing protocol method create_lease" in m
             for m in messages
         )
         assert any(
-            "'IncompleteBackend' is missing protocol method active" in m
+            "'IncompleteBackend' is missing protocol method lease_keys" in m
             for m in messages
         )
         # MismatchedBackend: two renamed/dropped-parameter signatures.
         assert any(
-            "'MismatchedBackend' method claim_many has signature "
-            "(self, fps, who, lease_seconds)" in m
+            "'MismatchedBackend' method replace_lease has signature "
+            "(self, key, document, version)" in m
             for m in messages
         )
         assert any(

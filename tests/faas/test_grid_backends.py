@@ -332,6 +332,89 @@ class TestFileRelease:
         assert not claim(twin, FP_A, "other", 30.0)
 
 
+class TestFileRenew:
+    """A renew is a read, a decision, and a replace; a lease changed between
+    the read and the replace must refuse the renew, not be overwritten."""
+
+    def test_a_twin_finishing_between_read_and_replace_keeps_the_done_marker(
+            self, tmp_path):
+        clock = FakeClock()
+        renewer = FileBackend(tmp_path, clock=clock)
+        twin = FileBackend(tmp_path, clock=clock)
+        assert claim(renewer, FP_A, "w", 30.0)
+        read_lease = renewer.read_lease
+
+        def read_then_twin_finishes(fingerprint):
+            holder = read_lease(fingerprint)
+            twin.mark_done_many([fingerprint], "w")
+            return holder
+
+        renewer.read_lease = read_then_twin_finishes
+        with use_registry(MetricsRegistry()) as registry:
+            assert renewer.renew(FP_A, "w", 30.0) is False
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend="file", op="renew_lost") == 1
+        assert twin.read_lease(FP_A) == {"worker": "w", "done": True}
+        clock.advance(31.0)  # a revived lease would have expired
+        assert not claim(twin, FP_A, "other", 30.0)
+
+    def test_a_stale_renew_after_a_rival_reclaimed_and_finished_keeps_the_done_marker(
+            self, tmp_path):
+        clock = FakeClock()
+        stale = FileBackend(tmp_path, clock=clock)
+        rival = FileBackend(tmp_path, clock=clock)
+        assert claim(stale, FP_A, "stale", 30.0)
+        clock.advance(31.0)
+        read_lease = stale.read_lease
+
+        def read_then_rival_finishes(fingerprint):
+            holder = read_lease(fingerprint)
+            assert claim(rival, fingerprint, "rival", 30.0)
+            rival.mark_done_many([fingerprint], "rival")
+            return holder
+
+        stale.read_lease = read_then_rival_finishes
+        assert stale.renew(FP_A, "stale", 30.0) is False
+        assert rival.read_lease(FP_A) == {"worker": "rival", "done": True}
+        clock.advance(31.0)
+        assert not claim(rival, FP_A, "other", 30.0)
+        assert sorted(path.name for path in rival.leases_dir.iterdir()) == [f"{FP_A}.lease"]
+
+
+def plant(backend: GridBackend, fingerprint: str, document: dict) -> None:
+    """Store a lease document as another host or version might have."""
+    if isinstance(backend, FileBackend):
+        backend.leases_dir.mkdir(parents=True, exist_ok=True)
+        (backend.leases_dir / f"{fingerprint}.lease").write_text(json.dumps(document))
+    else:
+        backend._leases[fingerprint] = json.dumps(document)
+
+
+class TestMalformedLeases:
+    """The shared medium is outside input: a lease document that is neither
+    a done marker nor carries a numeric deadline reads as unreadable --
+    claimable, and not active -- instead of crashing the reader."""
+
+    @pytest.mark.parametrize("deadline", ["soon", None, [1], float("inf")])
+    def test_a_lease_without_a_numeric_deadline_is_claimable_and_inactive(
+            self, backend, deadline):
+        plant(backend, FP_A, {"worker": "x", "deadline": deadline})
+        assert backend.active() == {}
+        with use_registry(MetricsRegistry()) as registry:
+            assert claim(backend, FP_A, "me", 30.0)
+        ops = registry.counter("repro_grid_backend_ops_total")
+        assert ops.value(backend=backend.kind, op="reclaim") == 1
+        assert backend.read_lease(FP_A)["worker"] == "me"
+        assert set(backend.active()) == {FP_A}
+
+    def test_leases_are_plain_worker_documents_keyed_by_fingerprint(self, backend):
+        assert claim(backend, FP_A, "a", 30.0)
+        assert backend.read_lease(FP_A) == {"worker": "a", "deadline": backend.clock() + 30.0}
+        assert backend.active() == {FP_A: backend.read_lease(FP_A)}
+        backend.mark_done_many([FP_A], "a")
+        assert backend.read_lease(FP_A) == {"worker": "a", "done": True}
+
+
 class TestRecordsAndManifest:
     def test_appends_from_two_workers_interleave(self, backend):
         backend.append_records(0, "w1", lines({"fingerprint": FP_A, "n": 1}))

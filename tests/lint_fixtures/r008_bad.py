@@ -7,16 +7,16 @@ from repro.faas.backends import GridBackend
 
 
 class IncompleteBackend(GridBackend):
-    """Misses renew and active entirely: two findings."""
+    """Misses create_lease and lease_keys entirely: two findings."""
 
-    def claim_many(self, fingerprints, worker_id, ttl_s):
+    def read_lease(self, fingerprint):
+        return None
+
+    def replace_lease(self, fingerprint, staged, expected):
         return True
 
-    def mark_done_many(self, fingerprints, worker_id):
-        pass
-
-    def release(self, fingerprint, worker_id):
-        pass
+    def delete_lease(self, fingerprint, expected):
+        return True
 
     def append_records(self, shard, worker_id, lines):
         pass
@@ -32,23 +32,23 @@ class IncompleteBackend(GridBackend):
 
 
 class MismatchedBackend(GridBackend):
-    """Full method set, but claim_many renamed its params and append_records
-    dropped worker_id: two findings."""
+    """Full method set, but replace_lease renamed its params and
+    append_records dropped worker_id: two findings."""
 
-    def claim_many(self, fps, who, lease_seconds):
+    def read_lease(self, fingerprint):
+        return None
+
+    def create_lease(self, fingerprint, staged):
         return True
 
-    def renew(self, fingerprint, worker_id, ttl_s):
+    def replace_lease(self, key, document, version):
         return True
 
-    def mark_done_many(self, fingerprints, worker_id):
-        pass
+    def delete_lease(self, fingerprint, expected):
+        return True
 
-    def release(self, fingerprint, worker_id):
-        pass
-
-    def active(self):
-        return {}
+    def lease_keys(self):
+        return []
 
     def append_records(self, shard, lines):
         pass
@@ -66,22 +66,23 @@ class MismatchedBackend(GridBackend):
 class LeakyBackend(GridBackend):
     """Protocol-complete but smuggles the filesystem back in: three findings."""
 
-    def claim_many(self, fingerprints, worker_id, ttl_s):
-        Path("leases").write_text(fingerprints[0])  # pathlib leak
-        return [True]
+    def read_lease(self, fingerprint):
+        return None
 
-    def renew(self, fingerprint, worker_id, ttl_s):
+    def create_lease(self, fingerprint, staged):
+        Path("leases").write_text(fingerprint)  # pathlib leak
         return True
 
-    def mark_done_many(self, fingerprints, worker_id):
-        pass
+    def replace_lease(self, fingerprint, staged, expected):
+        return True
 
-    def release(self, fingerprint, worker_id):
+    def delete_lease(self, fingerprint, expected):
         with open("leases.json") as handle:  # open() leak
             handle.read()
+        return True
 
-    def active(self):
-        return {name: {} for name in os.listdir("leases")}  # os leak
+    def lease_keys(self):
+        return os.listdir("leases")  # os leak
 
     def append_records(self, shard, worker_id, lines):
         pass

@@ -7,28 +7,28 @@ from repro.faas.backends import GridBackend
 
 
 class CompliantBackend(GridBackend):
-    """Full protocol; the extra keyword-only option on claim_many is allowed."""
+    """Full storage protocol; the extra keyword-only option is allowed."""
 
     def __init__(self):
         self._leases = {}
         self._records = {}
         self._manifest = None
 
-    def claim_many(self, fingerprints, worker_id, ttl_s, *, steal=False):
-        self._leases.update(dict.fromkeys(fingerprints, worker_id))
-        return [True] * len(fingerprints)
+    def read_lease(self, fingerprint):
+        return self._leases.get(fingerprint)
 
-    def renew(self, fingerprint, worker_id, ttl_s):
-        return self._leases.get(fingerprint) == worker_id
+    def create_lease(self, fingerprint, staged, *, note=None):
+        return self._leases.setdefault(fingerprint, staged) is staged
 
-    def mark_done_many(self, fingerprints, worker_id):
-        self._leases.update(dict.fromkeys(fingerprints, "done"))
+    def replace_lease(self, fingerprint, staged, expected):
+        self._leases[fingerprint] = staged
+        return True
 
-    def release(self, fingerprint, worker_id):
-        self._leases.pop(fingerprint, None)
+    def delete_lease(self, fingerprint, expected):
+        return self._leases.pop(fingerprint, None) is not None
 
-    def active(self):
-        return {fp: {"worker": who} for fp, who in self._leases.items()}
+    def lease_keys(self):
+        return sorted(self._leases)
 
     def append_records(self, shard, worker_id, lines):
         self._records.setdefault(shard, []).extend(lines)
@@ -52,21 +52,21 @@ class FileBackend(backends.GridBackend):
     def __init__(self, root):
         self.root = Path(root)
 
-    def claim_many(self, fingerprints, worker_id, ttl_s):
-        return [not (self.root / fingerprint).exists() for fingerprint in fingerprints]
+    def read_lease(self, fingerprint):
+        return None
 
-    def renew(self, fingerprint, worker_id, ttl_s):
+    def create_lease(self, fingerprint, staged):
+        return not (self.root / fingerprint).exists()
+
+    def replace_lease(self, fingerprint, staged, expected):
+        (self.root / fingerprint).write_text(str(staged))
         return True
 
-    def mark_done_many(self, fingerprints, worker_id):
-        for fingerprint in fingerprints:
-            (self.root / fingerprint).write_text(worker_id)
+    def delete_lease(self, fingerprint, expected):
+        return False
 
-    def release(self, fingerprint, worker_id):
-        pass
-
-    def active(self):
-        return {}
+    def lease_keys(self):
+        return []
 
     def append_records(self, shard, worker_id, lines):
         with open(self.root / f"shard-{shard}.jsonl", "a") as handle:
