@@ -16,13 +16,8 @@ from __future__ import annotations
 
 import json
 
-from repro.core import (
-    DataItem,
-    FunctionDataSpec,
-    ModelBuilder,
-    ResourceAnnotation,
-    WorkflowDefinition,
-)
+from repro.core.builder import DataItem, FunctionDataSpec, ModelBuilder, ResourceAnnotation
+from repro.core.definition import WorkflowDefinition
 from repro.core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
 
 # An ETL-style workflow: extract -> transform (map) -> load, plus a validation

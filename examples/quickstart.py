@@ -11,7 +11,7 @@ Run with:  python examples/quickstart.py
 
 from __future__ import annotations
 
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 from repro.faas import Deployment, WorkflowBenchmark, WorkloadSpec, run_benchmark
 from repro.sim import FunctionSpec, InvocationContext
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Tuple
 
-from ..core.builder import DataItem, FunctionDataSpec
+from ..core.builder import DataItem, FunctionDataSpec, ResourceAnnotation
 from ..core.definition import WorkflowDefinition
-from ..core.wfdnet import ResourceAnnotation
 from ..faas.benchmark import WorkflowBenchmark
 from ..sim.invocation import FunctionSpec, InvocationContext
 from ..sim.rng import derive_stream_seed

@@ -22,9 +22,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..core.builder import DataItem, FunctionDataSpec
+from ..core.builder import DataItem, FunctionDataSpec, ResourceAnnotation
 from ..core.definition import WorkflowDefinition
-from ..core.wfdnet import ResourceAnnotation
 from ..faas.benchmark import WorkflowBenchmark
 from ..sim.invocation import FunctionSpec, InvocationContext
 from ..sim.rng import named_stream

@@ -19,9 +19,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict
 
-from ..core.builder import DataItem, FunctionDataSpec
+from ..core.builder import DataItem, FunctionDataSpec, ResourceAnnotation
 from ..core.definition import WorkflowDefinition
-from ..core.wfdnet import ResourceAnnotation
 from ..faas.benchmark import WorkflowBenchmark
 from ..sim.invocation import FunctionSpec, InvocationContext
 

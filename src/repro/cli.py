@@ -41,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from importlib import import_module
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,20 +68,10 @@ from .faas import (
     shard_of,
 )
 from .core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
-from .devtools.bench.cli import add_bench_arguments
-from .devtools.bench.cli import run_from_args as bench_run_from_args
-from .devtools.lint.cli import add_lint_arguments
-from .devtools.lint.cli import run_from_args as lint_run_from_args
 from .faas.campaign import iter_cached_cells
 from .faas.grid import DEFAULT_LEASE_TTL_S
 from .faas.results import result_to_dict
 from .observability import telemetry_session
-from .serve import (
-    aggregate_run_metrics,
-    cache_hit_rate,
-    cells_per_second,
-    serve as serve_run,
-)
 from .sim.platforms.spec import (
     DEFAULT_ERA,
     PlatformSpec,
@@ -94,10 +85,26 @@ from .sim.platforms.spec import (
 #: rendering the same artifacts twice must not simulate anything twice.
 DEFAULT_FIGURES_CACHE = ".repro-flow-cache"
 
+WORKER_ID_HELP = (
+    "grid worker identity in leases/logs (default: hostname-pid); it must be "
+    "unique among live processes: two processes sharing one are a single "
+    "lease holder, so one's release can drop the other's live lease and a "
+    "third worker may run that cell at the same time (the merge deduplicates)"
+)
+
 _TRANSCRIBERS = {
     "aws": AWSTranscriber,
     "gcp": GCPTranscriber,
     "azure": AzureTranscriber,
+}
+
+#: Verbs whose front ends own their parsers; ``main`` hands them the rest of
+#: the command line, so their modules load only when they run.
+_DEVTOOLS = {
+    "lint": "AST-based invariant linter: determinism, fingerprint stability, "
+            "worker-safety (exit 4 on findings)",
+    "bench": "performance harness: engine events/sec, campaign cells/sec, "
+             "grid merge throughput (exit 5 on regression vs --compare)",
 }
 
 
@@ -112,9 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
         "list", help="list benchmarks, platforms, eras, and scenarios"
     )
     list_parser.add_argument("--scenarios", default=None, help="also list this scenario file")
+    list_parser.set_defaults(handler=_cmd_list)
 
     stats = subparsers.add_parser("stats", help="show a benchmark's model statistics")
     stats.add_argument("benchmark", help="benchmark name (see `repro-flow list`)")
+    stats.set_defaults(handler=_cmd_stats)
 
     transcribe = subparsers.add_parser(
         "transcribe", help="transcribe a benchmark definition to a platform format"
@@ -122,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     transcribe.add_argument("benchmark")
     transcribe.add_argument("--platform", default="aws", choices=sorted(_TRANSCRIBERS))
     transcribe.add_argument("--output", help="write the document to this file instead of stdout")
+    transcribe.set_defaults(handler=_cmd_transcribe)
 
     workload_help = (
         "workload spec, e.g. burst:burst_size=30, warm:settle_s=5, "
@@ -160,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--memory-mb", type=int, default=None)
     run.add_argument("--output", help="write the full result as JSON to this file")
+    run.set_defaults(handler=_cmd_run)
 
     compare = subparsers.add_parser("compare", help="run one benchmark on all cloud platforms")
     compare.add_argument("benchmark")
@@ -172,6 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--platforms", nargs="+", default=["gcp", "aws", "azure"], help=platform_help
     )
+    compare.set_defaults(handler=_cmd_compare)
 
     campaign = subparsers.add_parser(
         "campaign",
@@ -254,16 +266,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="grid lease time-to-live in seconds; a crashed worker's cells are "
              "reclaimed after this long (default: %(default)s)",
     )
-    campaign.add_argument(
-        "--worker-id", default=None,
-        help="grid worker identity in leases/logs (default: hostname-pid)",
-    )
+    campaign.add_argument("--worker-id", default=None, help=WORKER_ID_HELP)
     campaign.add_argument(
         "--telemetry", default=None, metavar="DIR",
         help="stream metrics snapshots and span events as JSONL into this "
              "directory (one file per process; point it at RUN_DIR/telemetry "
              "so campaign-status --metrics and `repro-flow serve` find it)",
     )
+    campaign.set_defaults(handler=_cmd_campaign)
 
     status = subparsers.add_parser(
         "campaign-status", help="report per-shard progress of a grid run directory"
@@ -278,6 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--telemetry", default=None, metavar="DIR",
         help="telemetry directory for --metrics (default: RUN_DIR/telemetry)",
     )
+    status.set_defaults(handler=_cmd_campaign_status)
 
     merge = subparsers.add_parser(
         "campaign-merge",
@@ -293,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge whatever is finished so far (workers may still be live)",
     )
     merge.add_argument("--output", help="write the merged campaign result as JSON")
+    merge.set_defaults(handler=_cmd_campaign_merge)
 
     serve_parser = subparsers.add_parser(
         "serve",
@@ -315,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--interval", type=float, default=2.0,
         help="seconds between /events progress polls (default: %(default)s)",
     )
+    serve_parser.set_defaults(handler=_cmd_serve)
 
     figures = subparsers.add_parser(
         "figures",
@@ -334,6 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="DIR",
         help="write one <artifact>.json (+ .txt) per artifact into this directory",
     )
+    figures.set_defaults(handler=_cmd_figures)
 
     paper_report = subparsers.add_parser(
         "report",
@@ -344,20 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="DIR",
         help="write per-artifact JSON/text exports plus report.txt into this directory",
     )
+    paper_report.set_defaults(handler=_cmd_figures, all=True)
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="AST-based invariant linter: determinism, fingerprint stability, "
-             "worker-safety (exit 4 on findings)",
-    )
-    add_lint_arguments(lint)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="performance harness: engine events/sec, campaign cells/sec, "
-             "grid merge throughput (exit 5 on regression vs --compare)",
-    )
-    add_bench_arguments(bench)
+    for verb, verb_help in _DEVTOOLS.items():
+        # Listed for --help only: main dispatches these before parsing.
+        subparsers.add_parser(verb, help=verb_help)
 
     return parser
 
@@ -426,12 +431,12 @@ def _add_artifact_source_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--max-retries", type=int, default=1)
     parser.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL_S)
-    parser.add_argument("--worker-id", default=None)
+    parser.add_argument("--worker-id", default=None, help=WORKER_ID_HELP)
 
 
-def _cmd_list(scenarios: Optional[str] = None) -> int:
-    if scenarios:
-        load_scenarios(scenarios)
+def _cmd_list(args: argparse.Namespace) -> int:
+    if args.scenarios:
+        load_scenarios(args.scenarios)
     print("Application benchmarks:")
     for name in benchmark_names("application"):
         print(f"  {name}")
@@ -452,10 +457,10 @@ def _cmd_list(scenarios: Optional[str] = None) -> int:
     return 0
 
 
-def _cmd_stats(benchmark_name: str) -> int:
-    benchmark = get_benchmark(benchmark_name)
+def _cmd_stats(args: argparse.Namespace) -> int:
+    benchmark = get_benchmark(args.benchmark)
     stats = benchmark.statistics()
-    print(report.format_table([stats.as_row()], f"Model statistics for {benchmark_name}"))
+    print(report.format_table([stats.as_row()], f"Model statistics for {args.benchmark}"))
     print(f"memory configuration: {benchmark.memory_mb} MB")
     print(f"functions: {', '.join(benchmark.function_names())}")
     problems = benchmark.definition.validate(known_functions=benchmark.functions)
@@ -463,15 +468,15 @@ def _cmd_stats(benchmark_name: str) -> int:
     return 0
 
 
-def _cmd_transcribe(benchmark_name: str, platform: str, output: Optional[str]) -> int:
-    benchmark = get_benchmark(benchmark_name)
-    transcriber = _TRANSCRIBERS[platform]()
+def _cmd_transcribe(args: argparse.Namespace) -> int:
+    benchmark = get_benchmark(args.benchmark)
+    transcriber = _TRANSCRIBERS[args.platform]()
     result = transcriber.transcribe(benchmark.definition, benchmark.array_sizes)
     document = json.dumps(result.document, indent=2, default=str)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(document)
-        print(f"wrote {platform} document for {benchmark_name} to {output}")
+        print(f"wrote {args.platform} document for {args.benchmark} to {args.output}")
     else:
         print(document)
     print(
@@ -595,6 +600,16 @@ def _print_campaign_plan(
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    if args.telemetry:
+        # Every metric written by this process (campaign counters, engine
+        # monitor, backend ops, autoscale gauges) streams into one per-pid
+        # JSONL file; a final snapshot lands on exit.
+        with telemetry_session(args.telemetry, label="campaign"):
+            return _run_campaign(args)
+    return _run_campaign(args)
+
+
+def _run_campaign(args: argparse.Namespace) -> int:
     if args.scenarios:
         load_scenarios(args.scenarios)
     shard = parse_shard(args.shard) if args.shard else None
@@ -755,9 +770,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 3 if worker_report.failed else 0
 
 
-def _cmd_campaign_status(run_dir: str, metrics: bool = False,
-                         telemetry: Optional[str] = None) -> int:
-    run = GridRun.open(run_dir)
+def _cmd_campaign_status(args: argparse.Namespace) -> int:
+    run = GridRun.open(args.run_dir)
     statuses = grid_status(run)
     print(report.format_table([s.as_row() for s in statuses],
                               f"grid run {run.run_dir} ({run.shard_count} shard(s))"))
@@ -772,10 +786,12 @@ def _cmd_campaign_status(run_dir: str, metrics: bool = False,
     if lease_rows:
         print(report.format_table(lease_rows, "live leases"))
     print(autoscale_hint(run, statuses).describe())
-    if metrics:
+    if args.metrics:
+        from .serve import aggregate_run_metrics, cache_hit_rate, cells_per_second
+
         # The exact registry `repro-flow serve` scrapes: merged per-worker
         # telemetry snapshots plus freshly computed whole-run gauges.
-        view = aggregate_run_metrics(run_dir, telemetry=telemetry)
+        view = aggregate_run_metrics(args.run_dir, telemetry=args.telemetry)
         print(f"telemetry: {view.writers} writer file(s) merged")
         throughput = cells_per_second(view.registry)
         if throughput is not None:
@@ -796,11 +812,13 @@ def _cmd_campaign_status(run_dir: str, metrics: bool = False,
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .serve import serve
+
     def ready(host: str, port: int) -> None:
         print(f"serving grid run {args.run_dir} on http://{host}:{port} "
               f"(/metrics, /status, /events; Ctrl-C to stop)", flush=True)
 
-    serve_run(
+    serve(
         args.run_dir,
         host=args.host,
         port=args.port,
@@ -823,10 +841,10 @@ def _cmd_campaign_merge(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------- artifacts
-def _artifact_selection(args: argparse.Namespace, render_all: bool) -> List[str]:
-    if render_all or getattr(args, "all", False):
+def _artifact_selection(args: argparse.Namespace) -> List[str]:
+    if args.all:
         return artifact_pipeline.available_artifacts()
-    if not getattr(args, "artifacts", None):
+    if not args.artifacts:
         # The full paper campaign is deliberately opt-in: a bare `figures`
         # must not silently launch ~140 cells at burst 30.
         raise ValueError(
@@ -946,7 +964,7 @@ def _watch_artifacts(
     return campaign, rendered, failed
 
 
-def _cmd_figures(args: argparse.Namespace, render_all: bool = False) -> int:
+def _cmd_figures(args: argparse.Namespace) -> int:
     if getattr(args, "list_artifacts", False):
         rows = [
             {
@@ -959,7 +977,7 @@ def _cmd_figures(args: argparse.Namespace, render_all: bool = False) -> int:
         print(report.format_table(rows, "registered artifacts"))
         return 0
 
-    names = _artifact_selection(args, render_all)
+    names = _artifact_selection(args)
     config = _artifact_config(args)
     plan = artifact_pipeline.plan_artifacts(names, config)
     print(plan.describe())
@@ -1038,46 +1056,13 @@ def _cmd_figures(args: argparse.Namespace, render_all: bool = False) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    return _cmd_figures(args, render_all=True)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args.scenarios)
-        if args.command == "stats":
-            return _cmd_stats(args.benchmark)
-        if args.command == "transcribe":
-            return _cmd_transcribe(args.benchmark, args.platform, args.output)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "campaign":
-            if args.telemetry:
-                # Every metric written by this process (campaign counters,
-                # engine monitor, backend ops, autoscale gauges) streams into
-                # one per-pid JSONL file; a final snapshot lands on exit.
-                with telemetry_session(args.telemetry, label="campaign"):
-                    return _cmd_campaign(args)
-            return _cmd_campaign(args)
-        if args.command == "campaign-status":
-            return _cmd_campaign_status(args.run_dir, metrics=args.metrics,
-                                        telemetry=args.telemetry)
-        if args.command == "campaign-merge":
-            return _cmd_campaign_merge(args)
-        if args.command == "serve":
-            return _cmd_serve(args)
-        if args.command == "figures":
-            return _cmd_figures(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "lint":
-            return lint_run_from_args(args)
-        if args.command == "bench":
-            return bench_run_from_args(args)
+        if argv and argv[0] in _DEVTOOLS:
+            return import_module(f".devtools.{argv[0]}.cli", __package__).main(argv[1:])
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except CampaignError as exc:
         # Name the failures, then surface the salvaged cells: without a
         # --cache-dir the partial result on the exception is the only copy
@@ -1099,7 +1084,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # files on Python < 3.11.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 1  # pragma: no cover - unreachable with required subparsers
 
 
 if __name__ == "__main__":  # pragma: no cover

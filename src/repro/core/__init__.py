@@ -5,66 +5,11 @@ serverless workflow model (WFD-nets extended with coordinators and resource
 annotations), the JSON workflow definition language, and the transcribers to
 the proprietary formats of AWS Step Functions, Google Cloud Workflows, and
 Azure Durable Functions.
+
+Import names from the submodules -- :mod:`.definition` and :mod:`.phases`
+(the definition language), :mod:`.builder` (data specifications, Table 4
+statistics, and the net builder), :mod:`.critical_path` (measurements),
+:mod:`.petri` and :mod:`.wfdnet` (the model), and :mod:`.transcription`.
+The package itself re-exports nothing, so running a benchmark loads only the
+modules it uses and never the Petri-net model.
 """
-
-from .builder import DataItem, FunctionDataSpec, ModelBuilder, WorkflowStatistics, build_model
-from .critical_path import (
-    FunctionMeasurement,
-    RuntimeBreakdown,
-    WorkflowMeasurement,
-    aggregate_breakdowns,
-    scaling_profile,
-)
-from .definition import WorkflowDefinition
-from .petri import Marking, PetriNet, PetriNetError, Place, Transition, WorkflowNet, sequence_net
-from .phases import (
-    DefinitionError,
-    LoopPhase,
-    MapPhase,
-    ParallelBranch,
-    ParallelPhase,
-    Phase,
-    PhaseType,
-    RepeatPhase,
-    SwitchCase,
-    SwitchPhase,
-    TaskPhase,
-)
-from .wfdnet import ConsistencyIssue, DataAccess, ResourceAnnotation, TransitionKind, WFDNet
-
-__all__ = [
-    "ConsistencyIssue",
-    "DataAccess",
-    "DataItem",
-    "DefinitionError",
-    "FunctionDataSpec",
-    "FunctionMeasurement",
-    "LoopPhase",
-    "MapPhase",
-    "Marking",
-    "ModelBuilder",
-    "ParallelBranch",
-    "ParallelPhase",
-    "PetriNet",
-    "PetriNetError",
-    "Phase",
-    "PhaseType",
-    "Place",
-    "RepeatPhase",
-    "ResourceAnnotation",
-    "RuntimeBreakdown",
-    "SwitchCase",
-    "SwitchPhase",
-    "TaskPhase",
-    "Transition",
-    "TransitionKind",
-    "WFDNet",
-    "WorkflowDefinition",
-    "WorkflowMeasurement",
-    "WorkflowNet",
-    "WorkflowStatistics",
-    "aggregate_breakdowns",
-    "build_model",
-    "scaling_profile",
-    "sequence_net",
-]

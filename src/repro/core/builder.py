@@ -9,13 +9,19 @@ benchmark's data specification are attached to the corresponding transitions.
 The builder is also where workflow-level statistics come from -- the entries
 of the paper's Table 4 (#functions, parallelism, critical-path length,
 download/upload volume) are computed here from the definition plus concrete
-input parameters.
+input parameters, without building the net.
+
+A benchmark's data specification (:class:`ResourceAnnotation`,
+:class:`DataItem`, :class:`FunctionDataSpec`) lives here too, so declaring
+and running a benchmark never loads the Petri-net modules:
+:mod:`repro.core.wfdnet` is imported only by :meth:`ModelBuilder.build_wfdnet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+import enum
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from .definition import WorkflowDefinition
 from .phases import (
@@ -29,7 +35,36 @@ from .phases import (
     SwitchPhase,
     TaskPhase,
 )
-from .wfdnet import ResourceAnnotation, WFDNet
+
+if TYPE_CHECKING:
+    from .wfdnet import WFDNet
+
+
+class ResourceAnnotation(enum.Enum):
+    """How a data element is passed to / from a function (paper Section 3.2)."""
+
+    OBJECT_STORAGE = "object_storage"
+    NOSQL = "nosql"
+    PAYLOAD = "payload"
+    TRANSPARENT = "transparent"
+    REFERENCE = "reference"
+
+    @property
+    def short(self) -> str:
+        return {
+            ResourceAnnotation.OBJECT_STORAGE: "o",
+            ResourceAnnotation.NOSQL: "n",
+            ResourceAnnotation.PAYLOAD: "p",
+            ResourceAnnotation.TRANSPARENT: "t",
+            ResourceAnnotation.REFERENCE: "r",
+        }[self]
+
+    @classmethod
+    def from_short(cls, short: str) -> "ResourceAnnotation":
+        mapping = {a.short: a for a in cls}
+        if short not in mapping:
+            raise ValueError(f"unknown resource annotation {short!r}")
+        return mapping[short]
 
 
 @dataclass(frozen=True)
@@ -194,6 +229,8 @@ class ModelBuilder:
         phase is elided: the single function transition already acts as the
         AND-join.
         """
+        from .wfdnet import WFDNet
+
         net = WFDNet()
         nodes = self.phase_nodes()
         previous_place = net.source
@@ -317,15 +354,12 @@ class ModelBuilder:
                 spec = self._data_spec.get(func)
                 if spec is None:
                     continue
-                multiplier = node.width * node.chain_length / max(1, len(node.functions))
-                per_branch = max(1, int(round(multiplier)))
                 for item in spec.reads:
                     if item.annotation is ResourceAnnotation.OBJECT_STORAGE:
                         download_bytes += item.size_bytes
                 for item in spec.writes:
                     if item.annotation is ResourceAnnotation.OBJECT_STORAGE:
                         upload_bytes += item.size_bytes
-                del per_branch  # volume declared per workflow, not per branch
         return WorkflowStatistics(
             name=self._definition.name,
             num_functions=num_functions,
@@ -334,12 +368,3 @@ class ModelBuilder:
             download_mb=download_bytes / 1e6,
             upload_mb=upload_bytes / 1e6,
         )
-
-
-def build_model(
-    definition: WorkflowDefinition,
-    data_spec: Optional[Mapping[str, FunctionDataSpec]] = None,
-    array_sizes: Optional[Mapping[str, int]] = None,
-) -> WFDNet:
-    """Convenience wrapper returning the WFD-net of a workflow definition."""
-    return ModelBuilder(definition, data_spec, array_sizes).build_wfdnet()

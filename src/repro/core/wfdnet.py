@@ -11,7 +11,10 @@ annotated with data elements and read/write/destroy operations -- extended by:
 
 This module implements that extended formalism plus the consistency checks it
 enables (e.g. a data element must be written and read through the same
-resource channel).
+resource channel).  :class:`ResourceAnnotation` is defined next to the data
+specification that uses it, in :mod:`repro.core.builder`, and is imported
+here so both paths name the same enum.  Nets are built by
+:meth:`repro.core.builder.ModelBuilder.build_wfdnet`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
+from .builder import ResourceAnnotation
 from .petri import PetriNetError, WorkflowNet
 
 
@@ -28,33 +32,6 @@ class TransitionKind(enum.Enum):
 
     FUNCTION = "function"
     COORDINATOR = "coordinator"
-
-
-class ResourceAnnotation(enum.Enum):
-    """How a data element is passed to / from a function (paper Section 3.2)."""
-
-    OBJECT_STORAGE = "object_storage"
-    NOSQL = "nosql"
-    PAYLOAD = "payload"
-    TRANSPARENT = "transparent"
-    REFERENCE = "reference"
-
-    @property
-    def short(self) -> str:
-        return {
-            ResourceAnnotation.OBJECT_STORAGE: "o",
-            ResourceAnnotation.NOSQL: "n",
-            ResourceAnnotation.PAYLOAD: "p",
-            ResourceAnnotation.TRANSPARENT: "t",
-            ResourceAnnotation.REFERENCE: "r",
-        }[self]
-
-    @classmethod
-    def from_short(cls, short: str) -> "ResourceAnnotation":
-        mapping = {a.short: a for a in cls}
-        if short not in mapping:
-            raise ValueError(f"unknown resource annotation {short!r}")
-        return mapping[short]
 
 
 @dataclass(frozen=True)

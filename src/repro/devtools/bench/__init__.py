@@ -25,7 +25,6 @@ from .cli import (  # noqa: F401
     EXIT_REGRESSION,
     add_bench_arguments,
     main,
-    run_from_args,
 )
 from .harness import (  # noqa: F401
     BENCH_SCHEMA,
@@ -62,6 +61,5 @@ __all__ = [
     "main",
     "run_bench",
     "run_cell",
-    "run_from_args",
     "schedule_arrivals",
 ]

@@ -151,11 +151,6 @@ def run(config: BenchConfig, stdout: Optional[IO[str]] = None,
     return 0
 
 
-def run_from_args(args: argparse.Namespace) -> int:
-    """Entry point for the ``repro-flow bench`` subcommand."""
-    return run(config_from_args(args))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-flow bench",

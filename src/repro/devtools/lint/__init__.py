@@ -11,7 +11,7 @@ Public surface:
 """
 
 from .baseline import apply_baseline, load_baseline, write_baseline  # noqa: F401
-from .cli import LintConfig, main, run_from_args  # noqa: F401
+from .cli import LintConfig, main  # noqa: F401
 from .framework import (  # noqa: F401
     Finding,
     LintModule,
@@ -44,7 +44,6 @@ __all__ = [
     "load_baseline",
     "load_manifest",
     "main",
-    "run_from_args",
     "run_lint",
     "summarize",
     "write_baseline",

@@ -166,11 +166,6 @@ def run(config: LintConfig, stdout: Optional[IO[str]] = None,
     return EXIT_FINDINGS if failing else 0
 
 
-def run_from_args(args: argparse.Namespace) -> int:
-    """Entry point for the ``repro-flow lint`` subcommand."""
-    return run(config_from_args(args))
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-flow lint",

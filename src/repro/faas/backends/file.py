@@ -59,9 +59,11 @@ class FileBackend(GridBackend):
     lease back; a replace then links the staged file in.  Marking done,
     unconditional, links the staged file to a temp name and renames that
     over the lease.  A create can take the slot a tombstone emptied before
-    the replace's link or the put-back lands; that lease then wins, and the
-    cell may run twice -- safe, like a worker that stalls past its TTL:
-    cells are deterministic and the merge deduplicates by fingerprint.
+    the replace's link or the put-back lands.  A done marker is put back by
+    rename, over that create, so a finished cell stays finished; any other
+    put-back loses to the create, and the cell may run twice -- safe, like
+    a worker that stalls past its TTL: cells are deterministic and the merge
+    deduplicates by fingerprint.
 
     Construction never touches the disk -- opening a missing run must fail
     cleanly and a dry run must not create directories -- so directories are
@@ -138,10 +140,15 @@ class FileBackend(GridBackend):
             return expected is None
         taken = self._read(tombstone)
         if taken != expected:
-            try:
-                os.link(tombstone, path)
-            except FileExistsError:
-                pass  # a third contender took the slot
+            if taken is not None and taken.get("done"):
+                # A done marker goes back over whatever a create put in the
+                # emptied slot meanwhile: a finished cell is never re-claimed.
+                os.replace(tombstone, path)
+            else:
+                try:
+                    os.link(tombstone, path)
+                except FileExistsError:
+                    pass  # a third contender took the slot
         tombstone.unlink(missing_ok=True)
         return taken == expected
 

@@ -5,7 +5,7 @@ build a structurally valid WFD-net -- the suite's self-validation requirement
 import pytest
 
 from repro.benchmarks import benchmark_names, get_benchmark
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 
 
 @pytest.mark.parametrize("name", benchmark_names("all"))

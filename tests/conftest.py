@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.artifacts import execute_plan, plan_artifacts, render_plan
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 from repro.sim import FunctionSpec, Platform, resolve_platform
 from repro.sim.platforms import spec as platform_spec_module
 

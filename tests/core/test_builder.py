@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import DataItem, FunctionDataSpec, ModelBuilder, ResourceAnnotation, WorkflowDefinition
+from repro.core.builder import DataItem, FunctionDataSpec, ModelBuilder, ResourceAnnotation
+from repro.core.definition import WorkflowDefinition
 
 
 def fig3_definition() -> WorkflowDefinition:

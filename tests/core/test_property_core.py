@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 from repro.core.builder import ModelBuilder
 from repro.core.critical_path import FunctionMeasurement, WorkflowMeasurement
 from repro.core.petri import Marking, sequence_net

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 from repro.core.transcription import (
     AWSTranscriber,
     AzureTranscriber,

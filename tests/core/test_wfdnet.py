@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from repro.core import DataItem, ModelBuilder
+from repro.core.builder import DataItem, ModelBuilder
 from repro.core.wfdnet import ResourceAnnotation, TransitionKind, WFDNet
 
 EXAMPLES = pathlib.Path(__file__).resolve().parents[2] / "examples"

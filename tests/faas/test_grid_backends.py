@@ -10,6 +10,7 @@ by advancing time, never by sleeping.
 """
 
 import json
+import os
 import sys
 import threading
 
@@ -330,6 +331,42 @@ class TestFileRelease:
         releaser.release(FP_A, "w")
         assert twin.read_lease(FP_A)["done"] is True
         assert not claim(twin, FP_A, "other", 30.0)
+
+    def test_a_claim_in_the_emptied_slot_does_not_erase_a_put_back_done_marker(
+            self, tmp_path, monkeypatch):
+        """Regression: a stale release tombstone-renames a done marker away,
+        a third worker's claim lands in the emptied slot, and the put-back
+        link failed on it -- the finished cell was then claimed again."""
+        clock = FakeClock()
+        stale = FileBackend(tmp_path, clock=clock)
+        rival = FileBackend(tmp_path, clock=clock)
+        third = FileBackend(tmp_path, clock=clock)
+        assert claim(stale, FP_A, "stale", 30.0)
+        clock.advance(31.0)
+        read_lease = stale.read_lease
+        rename = os.rename
+        third_claims = []
+
+        def rename_then_third_claims(source, target):
+            rename(source, target)
+            if not third_claims:
+                third_claims.append(claim(third, FP_A, "third", 30.0))
+
+        def read_then_rival_finishes(fingerprint):
+            holder = read_lease(fingerprint)
+            assert claim(rival, fingerprint, "rival", 30.0)
+            rival.mark_done_many([fingerprint], "rival")
+            # The stale release's tombstone rename is the next rename.
+            monkeypatch.setattr(os, "rename", rename_then_third_claims)
+            return holder
+
+        stale.read_lease = read_then_rival_finishes
+        stale.release(FP_A, "stale")
+        monkeypatch.undo()
+        assert third_claims == [True]
+        assert rival.read_lease(FP_A) == {"worker": "rival", "done": True}
+        assert not claim(FileBackend(tmp_path, clock=clock), FP_A, "fourth", 30.0)
+        assert sorted(path.name for path in rival.leases_dir.iterdir()) == [f"{FP_A}.lease"]
 
 
 class TestFileRenew:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import WorkflowDefinition
+from repro.core.definition import WorkflowDefinition
 from repro.sim import FunctionSpec, Platform, resolve_platform
 from repro.sim.platforms import ALL_PLATFORMS, CLOUD_PLATFORMS, available_platforms
 

@@ -68,6 +68,40 @@ class TestParser:
         assert args.output == "out.json"
 
 
+VERBS = ("list", "stats", "transcribe", "run", "compare", "campaign", "campaign-status",
+         "campaign-merge", "serve", "figures", "report", "lint", "bench")
+
+
+class TestDispatch:
+    """In-tree verbs run their subparser's handler; ``lint`` and ``bench``
+    go straight to their own front ends."""
+
+    def test_help_lists_every_verb(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--help"])
+        assert exit_info.value.code == 0
+        listed = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+        assert tuple(listed.split(",")) == VERBS
+
+    def test_every_in_tree_verb_names_its_handler(self):
+        parser = build_parser()
+        argv = {"stats": ["ml"], "transcribe": ["ml"], "run": ["ml"], "compare": ["ml"],
+                "campaign-status": ["RUN"], "campaign-merge": ["RUN"], "serve": ["RUN"]}
+        for verb in VERBS[:-2]:
+            assert callable(parser.parse_args([verb, *argv.get(verb, [])]).handler), verb
+
+    def test_bench_lists_its_cells(self, capsys):
+        assert main(["bench", "--list-cells"]) == 0
+        assert "engine." in capsys.readouterr().out
+
+    def test_bench_rejects_an_unknown_cell_with_exit_2(self, capsys):
+        assert main(["bench", "--cells", "engine.typo"]) == 2
+
+    def test_lint_lists_its_rules(self, capsys):
+        assert main(["lint", "--list-rules"]) == 0
+        assert "R001" in capsys.readouterr().out
+
+
 class TestCommands:
     def test_list_shows_benchmarks_and_platforms(self, capsys):
         assert main(["list"]) == 0

@@ -6,13 +6,17 @@ simulator loads it on the first stream it creates.
 
 The artifact path (planner, campaign, grid) also stays clear of the dev
 tools, the HTTP server and the asyncio/ssl stack they pull in, and an ``ml``
-cell runs without ``numpy.ma``.
+cell runs without ``numpy.ma``.  Planning and running cells never loads the
+WFD-net model (``repro.core.petri``/``repro.core.wfdnet``), and the CLI
+loads only what its verb runs.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,9 +63,39 @@ print("no numpy.ma")
 """
 
 
-def run_script(script: str) -> str:
+MODEL_FREE_CELL_SCRIPT = """
+import sys
+
+import repro.analysis.artifacts
+import repro.faas.grid
+from repro.faas.campaign import CampaignSpec, execute_job_inline
+
+spec = CampaignSpec(benchmarks=("mapreduce",), platforms=("aws",), seeds=(0,), burst_size=2)
+execute_job_inline(spec.expand()[0])
+loaded = sorted(name for name in sys.modules
+                if name in ("repro.core.petri", "repro.core.wfdnet"))
+assert not loaded, loaded
+print("model-free")
+"""
+
+
+VERB_SCRIPT = """
+import sys
+
+from repro.cli import main
+
+assert main(sys.argv[1:]) == 0
+banned = ("repro.devtools", "repro.serve", "asyncio", "ssl", "repro.core.petri")
+loaded = sorted(name for name in sys.modules
+                if any(name == root or name.startswith(root + ".") for root in banned))
+assert not loaded, loaded
+print("lean")
+"""
+
+
+def run_script(script: str, *args: str) -> str:
     completed = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
@@ -83,3 +117,27 @@ def test_an_ml_cell_does_not_import_numpy_ma():
     """The forest's tree grower avoids ``np.unique``/``np.median``, whose
     NaN and masked-array checks import ``numpy.ma`` in every cold worker."""
     assert run_script(ML_CELL_SCRIPT) == "no numpy.ma"
+
+
+def test_planning_and_running_a_cell_do_not_import_the_wfdnet_model():
+    assert run_script(MODEL_FREE_CELL_SCRIPT) == "model-free"
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory) -> str:
+    """A one-cell file-backend grid run, executed to completion."""
+    from repro.faas import CampaignSpec, GridRun, run_grid_worker
+
+    run_dir = tmp_path_factory.mktemp("grid") / "run"
+    spec = CampaignSpec(benchmarks=("function_chain",), platforms=("aws",), seeds=(0,),
+                        burst_size=2)
+    run_grid_worker(GridRun.create(spec, run_dir), workers=1)
+    return str(run_dir)
+
+
+@pytest.mark.parametrize("verb", [
+    ["figures", "--list"], ["campaign-status"], ["campaign-merge"],
+], ids=lambda verb: verb[0])
+def test_a_verb_loads_no_devtools_server_asyncio_or_petri_net(verb, finished_run):
+    argv = verb if verb[0] == "figures" else [*verb, finished_run]
+    assert run_script(VERB_SCRIPT, *argv).splitlines()[-1] == "lean"
