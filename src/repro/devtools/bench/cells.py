@@ -414,14 +414,14 @@ def _measure_metrics_summary(profile: BenchProfile,
 def _setup_merge(profile: BenchProfile) -> object:
     """Build a complete synthetic run directory, outside the timed section.
 
-    One genuine cell is executed once; its result document is replicated
-    across every fingerprint of a ``merge_cells``-seed sweep, so the merge
-    parses ``merge_cells`` full result documents exactly as it would after a
-    real grid run -- without paying for ``merge_cells`` real executions.
+    One genuine cell is executed once; its column text, encoded as a pool
+    worker encodes it, is replicated across every fingerprint of a
+    ``merge_cells``-seed sweep, so the merge decodes ``merge_cells`` full
+    records as after a real grid run, without ``merge_cells`` executions.
     """
     from ...faas.campaign import CampaignSpec
     from ...faas.grid import GridRun
-    from ...faas.results import encode_document, record_line
+    from ...faas.results import encode_document, record_line, result_to_columns
 
     spec = CampaignSpec(
         benchmarks=("function_chain",), platforms=("aws",),
@@ -432,7 +432,7 @@ def _setup_merge(profile: BenchProfile) -> object:
     document = _execute_cell(jobs[0])
     tmp = tempfile.TemporaryDirectory(prefix="repro-bench-merge-")
     run = GridRun.create(spec, tmp.name, shard_count=1)
-    text = encode_document(document)
+    text = encode_document(result_to_columns(document))
     for job in jobs:
         run.backend.append_records(0, "bench", [record_line({
             "fingerprint": job.fingerprint(),

@@ -26,8 +26,8 @@ misses through :func:`run_cells`, and stores each fresh result.
 :func:`run_campaign` collects the cells in memory; the grid
 (:mod:`repro.faas.grid`) runs the same driver and adds leases, record
 streams, and shards around it.  The cache entry layout is read and written
-only in this module; the result inside an entry is column-encoded by
-:func:`~repro.faas.results.result_to_columns`.
+only in this module.  A fresh cell leaves its worker column-encoded
+(:func:`~repro.faas.results.result_to_columns`), as entries and grid records keep it.
 
 The :class:`CampaignResult` aggregator rolls the per-cell
 :class:`~repro.faas.experiment.ExperimentResult` objects into the comparison
@@ -59,8 +59,8 @@ from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
 from .results import (
-    DECODE_ERRORS, encode_document, parse_json_object, result_from_columns, result_from_dict,
-    result_to_columns, result_to_dict,
+    DECODE_ERRORS, encode_document, parse_json_object, record_line, result_from_columns,
+    result_to_columns, result_to_dict, write_in_directory,
 )
 from .workload import WorkloadSpec
 
@@ -449,19 +449,21 @@ def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 def _execute_job_timed(payload: Dict[str, object], encode: bool = False) -> Dict[str, object]:
-    """Worker entry point with cost accounting: result document + wall time.
+    """Worker entry point with cost accounting: column document + wall time.
 
     The grid logs each cell's observed wall cost (``elapsed_s``) next to its
     result so :func:`repro.faas.grid.autoscale_hint` can size worker fleets
     from real medians.  Monotonic-timer durations are measurement, not
     simulation state -- they never reach fingerprints or result documents.
-    ``encode`` returns :func:`encode_document` text, encoded after the timer
-    stops, so ``elapsed_s`` is the cell alone.
+    The result is column-encoded (:func:`result_to_columns`) after the timer
+    stops, so ``elapsed_s`` is the cell alone; ``encode`` returns its
+    :func:`encode_document` text instead of the dict.
     """
     start = perf_counter()
     document = _execute_job(payload)
     elapsed_s = perf_counter() - start
-    return {"document": encode_document(document) if encode else document,
+    columns = result_to_columns(document)
+    return {"document": encode_document(columns) if encode else columns,
             "elapsed_s": elapsed_s}
 
 
@@ -905,22 +907,19 @@ def probe_cache(cache_dir: Optional[Union[str, Path]], job: CampaignJob) -> bool
     return result is not None
 
 
-def _store_cached(cache_dir: Optional[Path], job: CampaignJob, document: Dict[str, object]) -> None:
+def _store_cached(cache_dir: Optional[Path], job: CampaignJob, columns: Document) -> None:
+    """Write a cell's column document as given, its text spliced in as is."""
     if cache_dir is None or not is_builtin_spec(job.platform):
         return  # see iter_cached_cells: runtime factories are not fingerprintable
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": _ENTRY_LAYOUT,
-        "fingerprint": job.fingerprint(),
-        "job": job.to_dict(),
-        "result": result_to_columns(document),
-    }
+    text = columns if isinstance(columns, str) else encode_document(columns)
+    entry = record_line({"version": _ENTRY_LAYOUT, "fingerprint": job.fingerprint(),
+                         "job": job.to_dict()}, text)
     path = _cache_path(cache_dir, job)
     # A private temp file per write: two writers of one cell (a duplicate
     # after a lease reclaim, two workers sharing a cache) never replace
     # each other's half-written temp.
     tmp = path.with_name(f"{path.stem}.{_unique_token()}.tmp")
-    tmp.write_text(json.dumps(payload))
+    write_in_directory(cache_dir, lambda: tmp.write_text(entry))
     os.replace(tmp, path)
 
 
@@ -959,9 +958,10 @@ class CampaignError(RuntimeError):
         super().__init__(f"{len(self.failures)} campaign cell(s) failed:\n  {details}")
 
 
-#: A result document, or its :func:`encode_document` text.
+#: A result in the column layout of :func:`result_to_columns`, or its
+#: :func:`encode_document` text.
 Document = Union[Dict[str, object], str]
-#: A cell :func:`run_cells` executed: job, result document, wall cost.
+#: A cell :func:`run_cells` executed: job, column document, wall cost.
 Settled = Tuple[CampaignJob, Document, float]
 #: A cell :func:`drive_cells` delivers: job, fresh document, cached result, wall cost.
 Delivered = Tuple[CampaignJob, Optional[Document], Optional[ExperimentResult], Optional[float]]
@@ -984,12 +984,12 @@ def run_cells(
 
     Runs every admitted cell, serially (``workers <= 1``) or over a
     ``ProcessPoolExecutor``.  ``finish`` receives a list of ``(job,
-    document, elapsed_s)`` -- each cell's result plus its observed wall
-    cost, measured inside the worker so pool scheduling does not inflate
-    it.  A pooled chunk's successes arrive as one list, so a sink can commit
-    them together; a serial attempt settles alone.  ``encode_documents``
-    makes each document its :func:`encode_document` text, encoded where the
-    cell ran.  A raising cell
+    document, elapsed_s)`` -- each cell's column-encoded result plus its
+    observed wall cost, measured inside the worker so pool scheduling does
+    not inflate it.  A pooled chunk's successes arrive as one list, so a
+    sink can commit them together; a serial attempt settles alone.
+    ``encode_documents`` makes each document its :func:`encode_document`
+    text, encoded where the cell ran.  A raising cell
     is retried up to ``max_retries`` times and then reported through ``fail``
     -- one bad cell never aborts the rest of the batch.  The hooks exist for
     the distributed grid path:
@@ -1257,12 +1257,12 @@ def drive_cells(
     Probes the cell cache (:func:`iter_cached_cells`), executes the misses
     through :func:`run_cells`, and writes each fresh result back to the
     cache.  Finished cells go to ``deliver`` as lists of ``(job, document,
-    result, elapsed_s)``: a cache hit as its decoded ``result`` alone (the
-    cache holds no result document; ``result_to_dict(result)`` rebuilds it),
+    result, elapsed_s)``: a cache hit as its decoded ``result`` alone,
     consecutive hits in lists of up to ``MAX_CHUNK_CELLS``; freshly executed
-    cells as their ``document`` (decoding is the sink's business) and
+    cells as their column ``document`` (decoding is the sink's business) and
     observed wall cost, one list per settled chunk (see :func:`run_cells`),
-    as :func:`encode_document` text with ``encode_documents``.
+    as :func:`encode_document` text with ``encode_documents``.  The cache
+    stores each fresh document as it came, without parsing or re-encoding it.
     ``progress(job, from_cache)`` fires for a hit right after its entry is
     decoded, and for a fresh cell right after its list is delivered;
     permanently failed cells go to ``fail``.  ``admit``/``skip``/``tick``
@@ -1306,13 +1306,9 @@ def drive_cells(
 
     def finish(settled: List[Settled]) -> None:
         # Cache (and report) every cell as soon as its chunk settles, so an
-        # interrupted run keeps the work it already did.  The cache needs
-        # the dict, so with a cache the pool returns dicts, encoded here.
+        # interrupted run keeps the work it already did.
         for job, document, _ in settled:
-            _store_cached(cache_path, job, document)  # type: ignore[arg-type]
-        if encode_documents and cache_path is not None:
-            settled = [(job, encode_document(document), elapsed_s)  # type: ignore[arg-type]
-                       for job, document, elapsed_s in settled]
+            _store_cached(cache_path, job, document)
         deliver([(job, document, None, elapsed_s)
                  for job, document, elapsed_s in settled])
         if progress is not None:
@@ -1322,8 +1318,7 @@ def drive_cells(
     run_cells(
         pending, workers, finish, fail,
         max_retries=max_retries, admit=admitted, skip=skip,
-        tick=tick, tick_interval_s=tick_interval_s,
-        encode_documents=encode_documents and cache_path is None,
+        tick=tick, tick_interval_s=tick_interval_s, encode_documents=encode_documents,
     )
 
 
@@ -1361,7 +1356,7 @@ def run_campaign(
         for job, document, result, _ in cells:
             found[job.fingerprint()] = (
                 (result, True) if result is not None
-                else (result_from_dict(document), False)  # type: ignore[arg-type]
+                else (result_from_columns(document), False)  # type: ignore[arg-type]
             )
 
     drive_cells(jobs, workers, cache_dir, deliver, failures.append,

@@ -67,11 +67,12 @@ from .campaign import (
 )
 from .experiment import ExperimentResult
 from .results import (  # noqa: F401  (ResultLog re-exported)
-    DECODE_ERRORS, ResultLog, encode_document, record_line, result_from_dict, result_to_dict,
+    DECODE_ERRORS, ResultLog, encode_document, record_line, result_from_columns,
+    result_to_columns, result_to_dict,
 )
 
-#: Bump when the run-directory layout changes incompatibly.
-GRID_VERSION = 1
+#: Bump when the run-directory layout changes incompatibly (2: column records).
+GRID_VERSION = 2
 
 #: Default lease time-to-live.  A held lease is rewritten once it is at
 #: least TTL/6 old; a pooled worker (workers > 1) checks every TTL/6 even
@@ -493,10 +494,10 @@ def run_grid_worker(
                 # Observed wall cost of this cell; autoscale_hint() medians
                 # these to size the fleet.  Merge/scan ignore unknown keys.
                 fields["elapsed_s"] = round(float(elapsed_s), 6)
-            # A fresh document arrives already encoded (encode_documents
+            # A fresh document arrives as column text (encode_documents
             # below); a cache hit is logged too, so a merge needs only the
-            # logs, its row document rebuilt from the decoded result.
-            text = encode_document(result_to_dict(result)) if document is None else document
+            # logs, its columns rebuilt from the decoded result.
+            text = document or encode_document(result_to_columns(result_to_dict(result)))
             job_shard, line = record(job, fields, text)  # type: ignore[arg-type]
             by_shard.setdefault(job_shard, []).append(line)
         # Group commit: every record of the batch is durable before any of
@@ -547,8 +548,8 @@ def merge_run(
 ) -> CampaignResult:
     """Fold the shard logs (plus the cell cache) into a ``CampaignResult``.
 
-    Streams the logs record by record: each raw document is parsed into an
-    :class:`~repro.faas.experiment.ExperimentResult` and immediately dropped,
+    Streams the logs record by record: each record's column document is
+    decoded into an :class:`~repro.faas.experiment.ExperimentResult` and dropped,
     so memory scales with the number of distinct cells, never with log volume
     (duplicates, retries, failure records).  The fold is idempotent and
     order-independent -- cells are emitted in the spec's expansion order
@@ -573,7 +574,7 @@ def merge_run(
                 if not isinstance(result_document, dict):
                     continue
                 try:
-                    result = result_from_dict(result_document)
+                    result = result_from_columns(result_document)
                 except DECODE_ERRORS:
                     continue  # corrupt record; a duplicate or the cache may supply it
                 merged[fingerprint] = (result, bool(record.get("from_cache", False)))

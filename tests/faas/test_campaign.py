@@ -20,7 +20,7 @@ from repro.faas import (
     run_campaign,
 )
 from repro.benchmarks import get_benchmark
-from repro.faas.results import result_from_columns
+from repro.faas.results import result_from_columns, result_to_columns
 from repro.sim import PlatformSpec, load_scenarios
 
 
@@ -259,12 +259,41 @@ class TestCampaignCache:
         document = execute_job_inline(job)
         rival = _cache_path(tmp_path, job).with_suffix(".tmp")
         rival.write_text("half-written by a rival")
-        _store_cached(tmp_path, job, document)
+        _store_cached(tmp_path, job, result_to_columns(document))
         assert rival.read_text() == "half-written by a rival"
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             sorted([rival.name, f"{job.fingerprint()}.json"])
         [(_, result)] = iter_cached_cells(tmp_path, [job])
         assert result_to_dict(result) == document
+
+    def test_stores_make_a_missing_cache_directory_once(self, tmp_path, monkeypatch):
+        """A store pays a ``mkdir`` only when the directory is missing: once
+        over many stores into a new cache, and again after it was removed."""
+        import pathlib
+        import shutil
+
+        from repro.faas.campaign import _store_cached, execute_job_inline, iter_cached_cells
+        from repro.faas.results import encode_document
+
+        jobs = small_spec(benchmarks=("function_chain",), platforms=("aws", "azure"),
+                          seeds=(0, 1, 2)).expand()
+        columns = [result_to_columns(execute_job_inline(job)) for job in jobs]
+        made, real_mkdir = [], pathlib.Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            made.append(path)
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "mkdir", mkdir)
+        cache = tmp_path / "cache"
+        for job, document in zip(jobs, columns):
+            _store_cached(cache, job, document)
+        assert made == [cache]
+        shutil.rmtree(cache)
+        _store_cached(cache, jobs[0], encode_document(columns[0]))
+        assert made == [cache, cache]
+        [(_, result)] = iter_cached_cells(cache, jobs[:1])
+        assert result_to_columns(result_to_dict(result)) == columns[0]
 
     def test_undecodable_entry_probes_as_a_miss(self, tmp_path):
         """The dry run agrees with the run: an entry with the current version
@@ -567,7 +596,8 @@ class TestChunkedDispatch:
             seeds=tuple(range(seed_count)), burst_size=burst,
         )
         jobs = spec.expand()
-        inline = {job.fingerprint(): execute_job_inline(job) for job in jobs}
+        inline = {job.fingerprint(): result_to_columns(execute_job_inline(job))
+                  for job in jobs}
         chunked, failures = {}, []
         run_cells(jobs, 2,
                   lambda settled: chunked.update(

@@ -152,7 +152,7 @@ def test_a_merge_restores_the_callers_collector_state(caller_state, monkeypatch)
     def decoder_fails(document):
         raise RuntimeError("decoder failed")
 
-    monkeypatch.setattr(grid_module, "result_from_dict", decoder_fails)
+    monkeypatch.setattr(grid_module, "result_from_columns", decoder_fails)
     with pytest.raises(RuntimeError, match="decoder failed"):
         merge_run(run)
     assert gc.isenabled() is caller_state

@@ -27,7 +27,7 @@ from repro.faas import (
 )
 from repro.faas import campaign, grid
 from repro.faas.results import (
-    encode_document, record_line, result_from_columns, result_from_dict,
+    encode_document, record_line, result_from_columns,
 )
 from repro.observability import MetricsRegistry, use_registry
 
@@ -690,9 +690,8 @@ class TestGridExecution:
             [cell["result"] for cell in clean.to_dict(include_results=True)["cells"]]
 
     def test_cache_served_records_log_the_executed_result_documents(self, tmp_path):
-        """The cache stores columns, but a cache-served record still logs the
-        row result document, byte for byte the one an executing worker
-        logged."""
+        """A cache-served record logs the column document, byte for byte the
+        one an executing worker logged."""
         spec = tiny_spec()
         cache = tmp_path / "cache"
 
@@ -731,8 +730,7 @@ class TestGridExecution:
             return spied
 
         monkeypatch.setattr(campaign, "result_from_columns", spy(result_from_columns))
-        monkeypatch.setattr(campaign, "result_from_dict", spy(result_from_dict))
-        monkeypatch.setattr(grid, "result_from_dict", spy(result_from_dict))
+        monkeypatch.setattr(grid, "result_from_columns", spy(result_from_columns))
         assert run_campaign(spec, workers=1, cache_dir=cache).cache_hits == 4
         assert len(decoded) == 4
         decoded.clear()
@@ -897,7 +895,8 @@ class TestMergeProperties:
             executed_run, tmp_path_factory.mktemp("noise"), records
         )
         noise = [
-            {"fingerprint": "0" * 64, "shard": 0, "result": {}},  # not in spec
+            # A well-formed result under a fingerprint not in the spec.
+            {"fingerprint": "0" * 64, "shard": 0, "result": records[0]["result"]},
             {"fingerprint": records[0]["fingerprint"], "shard": 0},  # no result
         ]
         for record in noise:
@@ -917,7 +916,7 @@ class TestMergeProperties:
         if shape == "platform_spec":
             broken["result"]["config"]["platform_spec"] = "aws"
         else:
-            broken["result"]["orchestration"] = ["x"]
+            broken["result"]["orchestration"]["state_transitions"][0] = "x"
         clone = self.rewritten_run(
             executed_run, tmp_path_factory.mktemp("malformed"), [broken] + records
         )

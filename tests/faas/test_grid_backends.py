@@ -523,7 +523,7 @@ class TestFaultInjection:
         # ...and a foreign record from some other sweep leaked in.
         backend.append_records(0, "stray", lines({
             "fingerprint": "f" * 64, "shard": 0, "worker": "stray",
-            "result": {"bogus": True},
+            "result": records[0]["result"],
         }))
         if isinstance(backend, FileBackend):
             # A torn JSONL line (a crash mid-append) must be skipped, not
