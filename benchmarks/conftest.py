@@ -130,6 +130,7 @@ class LazyPaperCampaign:
 
     def campaign_for(self, names):
         from repro.faas import CampaignResult, CampaignSpec, run_campaign
+        from repro.faas.campaign import run_probes
 
         plan = artifacts.plan_artifacts(names, ARTIFACT_CONFIG)
         if plan.spec is None:
@@ -140,10 +141,11 @@ class LazyPaperCampaign:
             executed = run_campaign(CampaignSpec(cells=missing), workers=WORKERS)
             for cell in executed.cells:
                 self._cells[cell.job.fingerprint()] = cell
-        return CampaignResult(
+        campaign = CampaignResult(
             spec=plan.spec,
             cells=[self._cells[job.fingerprint()] for job in plan.jobs],
         )
+        return run_probes(campaign, plan.probes, cache_dir=None)  # Figure 13's curves
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,7 @@ from conftest import BURST_SIZE, SEED
 
 from repro.benchmarks import get_benchmark
 from repro.faas import Deployment, TriggerConfig, BurstTrigger, summarize
-from repro.sim import Platform, resolve_platform
+from repro.sim.platforms import Platform, resolve_platform
 
 
 def _run_on_profile(benchmark_name: str, profile, burst_size: int, seed: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.core.definition import WorkflowDefinition
 from repro.faas import Deployment, WorkflowBenchmark, WorkloadSpec, run_benchmark
-from repro.sim import FunctionSpec, InvocationContext
+from repro.sim.invocation import FunctionSpec, InvocationContext
 
 
 # 1. Implement the workflow's functions.  Functions receive an invocation
@@ -110,7 +110,7 @@ def main() -> None:
     print(f"\naws with 3x cold starts: median runtime {result.median_runtime:.2f} s")
 
     # A single invocation with full access to its outputs:
-    from repro.sim import Platform, resolve_platform
+    from repro.sim.platforms import Platform, resolve_platform
 
     platform = Platform(resolve_platform("aws"), seed=7)
     deployment = Deployment.deploy(benchmark, platform)

@@ -47,7 +47,9 @@ from ..faas.campaign import (
     CampaignJob,
     CampaignResult,
     CampaignSpec,
+    NoiseProbe,
     run_campaign,
+    run_probes,
 )
 from ..faas.workload import WorkloadSpec
 from ..observability import current_registry, span
@@ -175,9 +177,10 @@ class ArtifactSpec:
 
     ``cells`` maps an :class:`ArtifactConfig` to the :class:`CellRequest`
     tuple the artifact needs (deterministically -- planning and rendering call
-    it independently); ``build`` maps the executed campaign back to the
-    artifact's rows/series without running anything; ``text`` renders the
-    built data for terminals (defaults to pretty JSON).
+    it independently), and ``probes`` to the noise probes it needs the same
+    way; ``build`` maps the executed campaign back to the artifact's
+    rows/series without running anything; ``text`` renders the built data
+    for terminals (defaults to pretty JSON).
     """
 
     name: str
@@ -187,6 +190,7 @@ class ArtifactSpec:
     build: Callable[[CampaignResult, ArtifactConfig], object]
     text: Optional[Callable[[object], str]] = None
     description: str = ""
+    probes: Callable[[ArtifactConfig], Tuple[NoiseProbe, ...]] = lambda config: ()
 
 
 _ARTIFACTS: Dict[str, ArtifactSpec] = {}
@@ -245,6 +249,7 @@ class ArtifactPlan:
     requests: Dict[str, Tuple[CellRequest, ...]]
     jobs: Tuple[CampaignJob, ...]
     spec: Optional[CampaignSpec]  # None when no artifact needs any cell
+    probes: Tuple[NoiseProbe, ...] = ()  # run after the cells, outside the spec
 
     @property
     def requested_cells(self) -> int:
@@ -269,12 +274,15 @@ def plan_artifacts(
     cold cells, Figure 16's 2024-era cells, ...) appear exactly once in the
     resulting :class:`~repro.faas.campaign.CampaignSpec`.  Two artifacts
     requesting the *same* cell coordinates with conflicting execution
-    parameters is a planning bug and raises ``ValueError``.
+    parameters is a planning bug and raises ``ValueError``.  Noise probes
+    are deduplicated too, and stay out of the spec.
     """
     config = config if config is not None else ArtifactConfig()
     specs = tuple(get_artifact(name) for name in names)
     requests: Dict[str, Tuple[CellRequest, ...]] = {}
     jobs: Dict[Tuple, CampaignJob] = {}
+    probes = tuple(dict.fromkeys(
+        probe for artifact in specs for probe in artifact.probes(config)))
     for artifact in specs:
         artifact_requests = tuple(artifact.cells(config))
         requests[artifact.name] = artifact_requests
@@ -291,9 +299,8 @@ def plan_artifacts(
                 )
     ordered = tuple(jobs.values())
     spec = CampaignSpec(cells=ordered) if ordered else None
-    return ArtifactPlan(
-        artifacts=specs, config=config, requests=requests, jobs=ordered, spec=spec
-    )
+    return ArtifactPlan(artifacts=specs, config=config, requests=requests,
+                        jobs=ordered, spec=spec, probes=probes)
 
 
 def cell_priorities(
@@ -331,16 +338,13 @@ def execute_plan(
     max_retries: int = 1,
     progress: Optional[Callable[[CampaignJob, bool], None]] = None,
 ) -> Optional[CampaignResult]:
-    """Run the plan's campaign (None when the plan needs no cells at all)."""
+    """Run the plan's campaign, then its noise probes (:func:`run_probes`);
+    None when the plan needs no cells at all."""
     if plan.spec is None:
         return None
-    return run_campaign(
-        plan.spec,
-        workers=workers,
-        cache_dir=cache_dir,
-        progress=progress,
-        max_retries=max_retries,
-    )
+    campaign = run_campaign(plan.spec, workers=workers, cache_dir=cache_dir,
+                            progress=progress, max_retries=max_retries)
+    return run_probes(campaign, plan.probes, cache_dir)
 
 
 # ----------------------------------------------------------------- rendering
@@ -488,10 +492,15 @@ def render_artifact(
     spec = get_artifact(artifact) if isinstance(artifact, str) else artifact
     config = config if config is not None else ArtifactConfig()
     requests = tuple(spec.cells(config))
+    probes = tuple(spec.probes(config))
     missing = [
         str(request.job().cell_key)
         for request in requests
         if campaign is None or not campaign.has_job(request.job())
+    ] + [
+        f"noise probe {probe.platform}"
+        for probe in probes
+        if campaign is None or probe.fingerprint() not in campaign.probes
     ]
     current_registry().gauge(
         "repro_artifact_cells_pending",
@@ -507,8 +516,8 @@ def render_artifact(
     )
     if missing:
         rendered.text = (
-            f"{spec.title}\n(pending: {len(missing)}/{len(requests)} campaign "
-            f"cell(s) not merged yet)"
+            f"{spec.title}\n(pending: {len(missing)}/{len(requests) + len(probes)} "
+            f"campaign cell(s) or probe(s) not ready yet)"
         )
         return rendered
     with span("artifact_render", artifact=spec.name):

@@ -26,12 +26,12 @@ import statistics
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..benchmarks.registry import APPLICATION_BENCHMARKS, canonical_benchmark_spec
-from ..faas.campaign import CampaignResult
+from ..faas.campaign import CampaignResult, NoiseProbe
 from ..faas.experiment import ExperimentResult
 from ..faas.metrics import split_warm_cold, summarize
 from ..faas.workload import WorkloadSpec
-from ..sim import MEMORY_CONFIGURATIONS_MB, NoiseModel, RandomStreams, resolve_platform
-from ..sim.platforms.spec import PlatformSpec
+from ..sim.platforms.spec import PlatformSpec, resolve_platform
+from ..sim.resources import MEMORY_CONFIGURATIONS_MB
 from . import report
 from .artifacts import (
     ArtifactConfig,
@@ -441,31 +441,24 @@ def _figure13_items(config: ArtifactConfig) -> Iterator[Tuple[str, str, CellRequ
             )
 
 
+def _figure13_probes(config: ArtifactConfig) -> Tuple[NoiseProbe, ...]:
+    """Figure 13a's selfish-detour probes, one suspension curve per platform."""
+    memory_configurations = tuple(config.value(  # type: ignore[call-overload]
+        "figure13", "memory_configurations", MEMORY_CONFIGURATIONS_MB, quick=(256, 1024)
+    ))
+    events = int(config.value("figure13", "events", 5000, quick=500))  # type: ignore[arg-type]
+    return tuple(NoiseProbe(platform, config.seed, memory_configurations, events)
+                 for platform in _platforms(config, "figure13"))
+
+
 def _build_figure13(
     campaign: CampaignResult, config: ArtifactConfig
 ) -> Dict[str, object]:
-    memory_configurations = config.value(
-        "figure13", "memory_configurations", MEMORY_CONFIGURATIONS_MB, quick=(256, 1024)
-    )
-    events = int(config.value("figure13", "events", 5000, quick=500))  # type: ignore[arg-type]
     platforms = _platforms(config, "figure13")
-
-    suspension: Dict[str, List[Dict[str, float]]] = {}
-    for platform in platforms:
-        profile = resolve_platform(platform)
-        noise = NoiseModel(platform, profile.cpu_model, RandomStreams(config.seed))
-        curve = noise.suspension_curve(
-            memory_configurations, events=events  # type: ignore[arg-type]
-        )
-        suspension[platform] = [
-            {
-                "memory_mb": float(memory),
-                "measured_suspension": values["measured_suspension"],
-                "documented_suspension": values["documented_suspension"],
-            }
-            for memory, values in sorted(curve.items())
-        ]
-
+    suspension: Dict[str, List[Dict[str, float]]] = {
+        probe.platform: campaign.probes[probe.fingerprint()]
+        for probe in _figure13_probes(config)
+    }
     results = collect_pairs(campaign, _figure13_items(config))
     normalized: Dict[str, Dict[str, Dict[str, float]]] = {}
     for benchmark, memory in FIGURE13_NORMALIZED:
@@ -500,6 +493,7 @@ register_artifact(ArtifactSpec(
     title="Figure 13: OS noise and normalised critical paths",
     kind="figure",
     cells=lambda config: tuple(request for _, _, request in _figure13_items(config)),
+    probes=_figure13_probes,
     build=_build_figure13,
     text=_figure13_text,
     description="Suspension-time curves and noise-normalised critical paths (E6)",

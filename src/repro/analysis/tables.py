@@ -21,7 +21,8 @@ from ..benchmarks import get_benchmark
 from ..benchmarks.registry import APPLICATION_BENCHMARKS
 from ..core.transcription import compare_transitions
 from ..faas.experiment import ExperimentResult
-from ..sim import PRICING_BY_PLATFORM, resolve_platform
+from ..sim.billing import PRICING_BY_PLATFORM
+from ..sim.platforms.spec import resolve_platform
 from . import report
 from .artifacts import ArtifactSpec, register_artifact
 from .figures import _e1_cells, collect_e1

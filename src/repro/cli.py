@@ -68,7 +68,7 @@ from .faas import (
     shard_of,
 )
 from .core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
-from .faas.campaign import iter_cached_cells
+from .faas.campaign import iter_cached_cells, run_probes
 from .faas.grid import DEFAULT_LEASE_TTL_S
 from .faas.results import result_to_dict
 from .observability import telemetry_session
@@ -406,7 +406,8 @@ def _add_artifact_source_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--render-only", action="store_true",
         help="do not execute anything: render from the run dir / cache / "
-             "campaign file as-is (incomplete artifacts report as pending)",
+             "campaign file as-is (incomplete artifacts report as pending, "
+             "Figure 13 too while its noise probes are not in the cache)",
     )
     parser.add_argument(
         "--watch", action="store_true",
@@ -939,10 +940,13 @@ def _watch_artifacts(
     rendered: Dict[str, artifact_pipeline.RenderedArtifact] = {}
     campaign: Optional[CampaignResult] = None
     failed = 0
+    probes: Dict[str, List[Dict[str, float]]] = {}  # shared, so each probe runs once
     for campaign, done, failed, total in iter_partial_merges(
         run, cache_dir=cache_dir, interval_s=args.watch_interval,
         max_polls=args.watch_polls,
     ):
+        campaign.probes = probes
+        run_probes(campaign, plan.probes, cache_dir, draw=not args.render_only)
         for artifact in plan.artifacts:
             previous = rendered.get(artifact.name)
             if previous is not None and previous.complete:
@@ -1045,6 +1049,10 @@ def _cmd_figures(args: argparse.Namespace) -> int:
         _print_artifact_plan(plan, shard, cache_dir)
         return 0
 
+    if campaign is not None and prerendered is None:
+        # Noise probes come from the cache; drawn (and stored) only when
+        # executing is allowed.  execute_plan has attached them already.
+        run_probes(campaign, plan.probes, cache_dir, draw=not args.render_only)
     _emit_artifacts(plan, campaign, args, prerendered=prerendered)
     if failed_cells:
         # Same contract as the campaign grid path (and the in-process path's

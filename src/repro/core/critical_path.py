@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 
 @dataclass(slots=True)
@@ -183,12 +183,6 @@ class RuntimeBreakdown:
             overhead=max(0.0, runtime - critical_path),
             cold_start_fraction=cold / len(functions),
         )
-
-
-def aggregate_breakdowns(
-    measurements: Iterable[WorkflowMeasurement],
-) -> List[RuntimeBreakdown]:
-    return [RuntimeBreakdown.from_measurement(m) for m in measurements]
 
 
 def scaling_profile(

@@ -76,9 +76,6 @@ class Marking:
         """Total number of tokens in the marking."""
         return sum(self._tokens.values())
 
-    def places_with_tokens(self) -> FrozenSet[str]:
-        return frozenset(self._tokens)
-
     def add(self, place: str, count: int = 1) -> "Marking":
         new = dict(self._tokens)
         new[place] = new.get(place, 0) + count

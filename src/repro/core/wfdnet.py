@@ -57,12 +57,6 @@ class TransitionData:
     destroys: Set[str] = field(default_factory=set)
     guard: Optional[str] = None
 
-    def read_elements(self) -> FrozenSet[str]:
-        return frozenset(self.reads)
-
-    def write_elements(self) -> FrozenSet[str]:
-        return frozenset(self.writes)
-
 
 @dataclass(frozen=True)
 class ConsistencyIssue:

@@ -27,8 +27,10 @@ R008 backend-protocol        every ``GridBackend`` implementation defines the
                              inside ``FileBackend``
 R009 telemetry-purity        metric/span calls never run inside event-handler
                              bodies (the engine is instrumented only through
-                             the external ``set_monitor`` seam), and nothing
-                             under ``sim/`` imports the observability package
+                             the external ``set_monitor`` seam), nothing
+                             under ``sim/`` imports the observability package,
+                             and nothing under ``analysis/`` imports
+                             ``sim.rng``, ``sim.noise`` or ``numpy.random``
 ==== ======================= =====================================================
 
 Each rule is pure AST analysis over one file; cross-file state (R002's
@@ -931,15 +933,14 @@ def _telemetry_aliases(tree: ast.Module) -> Set[str]:
     return names
 
 
-def _imports_observability(node: ast.AST) -> bool:
+def _imported_names(node: ast.AST) -> List[str]:
+    """Dotted names an import statement binds (relative dots dropped)."""
     if isinstance(node, ast.ImportFrom):
         module = node.module or ""
-        return "observability" in module or any(
-            "observability" in item.name for item in node.names
-        )
+        return [module] + [f"{module}.{item.name}" for item in node.names]
     if isinstance(node, ast.Import):
-        return any("observability" in item.name for item in node.names)
-    return False
+        return [item.name for item in node.names]
+    return []
 
 
 class TelemetryPurityRule(Rule):
@@ -956,17 +957,22 @@ class TelemetryPurityRule(Rule):
     * **``sim/`` never imports observability.**  The import ban makes the
       stronger property auditable at a glance: simulation code cannot read a
       metric back into control flow if it cannot even name one.
+    * **``analysis/`` draws nothing.**  Render code never imports the
+      random streams, the noise model or ``numpy.random``, so a render from
+      cached cells and probes simulates nothing.
     """
 
     rule_id = "R009"
     name = "telemetry-purity"
     description = (
         "no metric/span calls inside event-handler bodies (instrument via the "
-        "external Environment.set_monitor seam), and no observability imports "
-        "anywhere under sim/"
+        "external Environment.set_monitor seam), no observability imports "
+        "anywhere under sim/, and no random-draw imports under analysis/"
     )
 
     SIM_PATHS = ("sim/",)
+    RENDER_PATHS = ("analysis/",)
+    DRAW_MODULES = ("sim.rng", "sim.noise", "numpy.random")
 
     HANDLER_HINT = (
         "event handlers must stay pure simulation code; record per-run "
@@ -978,6 +984,8 @@ class TelemetryPurityRule(Rule):
         "the caller (see repro.faas.experiment._attach_engine_monitor) "
         "instead of importing observability into simulation code"
     )
+    DRAW_HINT = ("render code only reads what a campaign computed: declare a cell or a "
+                 "NoiseProbe (repro.faas.campaign) and read it from the CampaignResult")
 
     def __init__(
         self, allowed_paths: Sequence[str] = ("observability/", "devtools/")
@@ -988,9 +996,16 @@ class TelemetryPurityRule(Rule):
     def check(self, module: LintModule) -> Iterator[Finding]:
         if path_matches(module.rel_path, self.allowed_paths):
             return
+        if path_matches(module.rel_path, self.RENDER_PATHS):
+            for node in ast.walk(module.tree):
+                drawn = [banned for name in _imported_names(node) for banned in self.DRAW_MODULES
+                         if f".{banned}." in f".{name}."]
+                if drawn:
+                    yield self.finding(module, node, f"render module imports {drawn[0]}",
+                                       hint=self.DRAW_HINT)
         if path_matches(module.rel_path, self.SIM_PATHS):
             for node in ast.walk(module.tree):
-                if _imports_observability(node):
+                if any("observability" in name for name in _imported_names(node)):
                     yield self.finding(
                         module, node,
                         "simulation module imports the observability package",

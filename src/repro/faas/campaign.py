@@ -46,7 +46,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from time import perf_counter
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import (
@@ -54,7 +54,9 @@ from typing import (
 )
 
 from ..observability import current_registry
-from ..sim.platforms.spec import DEFAULT_ERA, PlatformSpec, available_eras, is_builtin_spec
+from ..sim.platforms.spec import (
+    DEFAULT_ERA, PlatformSpec, available_eras, is_builtin_spec, resolve_platform,
+)
 from .backends.file import _unique_token
 from .cost import CostReport, combine_cost_reports
 from .experiment import ExperimentConfig, ExperimentResult
@@ -521,6 +523,8 @@ class CampaignResult:
 
     spec: CampaignSpec
     cells: List[CampaignCell] = field(default_factory=list)
+    #: Noise probe rows by fingerprint (:func:`run_probes`); never serialized.
+    probes: Dict[str, List[Dict[str, float]]] = field(default_factory=dict, compare=False)
 
     @classmethod
     def assemble(
@@ -823,8 +827,17 @@ class CampaignResult:
 
 
 # ---------------------------------------------------------------------- cache
-def _cache_path(cache_dir: Path, job: CampaignJob) -> Path:
+def _cache_path(cache_dir: Path, job: Union[CampaignJob, "NoiseProbe"]) -> Path:
     return cache_dir / f"{job.fingerprint()}.json"
+
+
+def _write_entry(cache_dir: Path, job: Union[CampaignJob, "NoiseProbe"], text: str) -> None:
+    """Replace ``job``'s entry with ``text`` through a private temp file: two writers
+    of one entry (after a lease reclaim, or sharing a cache) never mix temps."""
+    path = _cache_path(cache_dir, job)
+    tmp = path.with_name(f"{path.stem}.{_unique_token()}.tmp")
+    write_in_directory(cache_dir, lambda: tmp.write_text(text))
+    os.replace(tmp, path)
 
 
 def scan_cache_fingerprints(cache_dir: Optional[Union[str, Path]]) -> frozenset:
@@ -847,31 +860,46 @@ def scan_cache_fingerprints(cache_dir: Optional[Union[str, Path]]) -> frozenset:
         return frozenset()
 
 
-def _read_cached(cache_dir: Path, job: CampaignJob) -> Optional[ExperimentResult]:
+#: What comes before and after an entry's column text as ``_store_cached``
+#: splices it in (keys sorted: fingerprint, job, result, version).
+_ENTRY_RESULT, _ENTRY_TAIL = b', "result": ', f', "version": {_ENTRY_LAYOUT}}}'.encode()
+
+
+def _read_cached(
+    cache_dir: Path, job: CampaignJob, text: bool
+) -> Tuple[Optional[ExperimentResult], Optional[str]]:
+    """The entry's decoded result, and with ``text`` its column text as stored."""
     try:
         # A missing file is a FileNotFoundError, so no separate stat.
-        entry = parse_json_object(_cache_path(cache_dir, job).read_bytes())
+        raw = _cache_path(cache_dir, job).read_bytes()
     except OSError:
-        return None
+        return None, None
+    entry = parse_json_object(raw)
     if (entry is None or entry.get("version") != _ENTRY_LAYOUT
             or entry.get("fingerprint") != job.fingerprint()):
-        return None
+        return None, None
     try:
-        return result_from_columns(entry["result"])  # type: ignore[arg-type]
+        result = result_from_columns(entry["result"])  # type: ignore[arg-type]
     except DECODE_ERRORS:
-        return None
+        return None, None
+    start = raw.find(_ENTRY_RESULT)  # the job before it holds no "result" key
+    if not text or start < 0 or not raw.endswith(_ENTRY_TAIL):
+        return result, None  # an older writer ordered the keys otherwise
+    return result, raw[start + len(_ENTRY_RESULT):-len(_ENTRY_TAIL)].decode()
 
 
 def iter_cached_cells(
-    cache_dir: Optional[Union[str, Path]], jobs: Iterable[CampaignJob]
-) -> Iterator[Tuple[CampaignJob, Optional[ExperimentResult]]]:
-    """The cell cache's one reader: ``(job, result)`` per job.
+    cache_dir: Optional[Union[str, Path]], jobs: Iterable[CampaignJob], texts: bool = False,
+) -> Iterator[Tuple[CampaignJob, Optional[ExperimentResult], Optional[str]]]:
+    """The cell cache's one reader: ``(job, result, text)`` per job, where
+    ``text`` is the entry's column text, read only with ``texts`` (a grid
+    record carries it unchanged).
 
     One directory scan up front, then each entry is read and decoded only
     when its job is reached, so a consumer that acts per cell (progress,
     grid records) sees each cell right after its own load.  A missing,
     stale (other version or fingerprint) or undecodable entry is a miss,
-    yielded as ``(job, None)`` -- exactly the cells a run recomputes.
+    yielded as ``(job, None, None)`` -- exactly the cells a run recomputes.
     Cells over runtime-registered platforms always miss: the fingerprint
     covers the spec but not the factory behind it, and editing that factory
     must never serve stale numbers.
@@ -880,9 +908,9 @@ def iter_cached_cells(
     present = scan_cache_fingerprints(cache_path)
     for job in jobs:
         if job.fingerprint() in present and is_builtin_spec(job.platform):
-            yield job, _read_cached(cache_path, job)  # type: ignore[arg-type]
+            yield (job, *_read_cached(cache_path, job, texts))  # type: ignore[arg-type]
         else:
-            yield job, None
+            yield job, None, None
 
 
 def load_cached_campaign(
@@ -896,14 +924,14 @@ def load_cached_campaign(
     """
     return CampaignResult(spec=spec, cells=[
         CampaignCell(job, result, from_cache=True)
-        for job, result in iter_cached_cells(cache_dir, spec.expand())
+        for job, result, _ in iter_cached_cells(cache_dir, spec.expand())
         if result is not None
     ])
 
 
 def probe_cache(cache_dir: Optional[Union[str, Path]], job: CampaignJob) -> bool:
     """True when a run would serve this job from the cell cache."""
-    [(_, result)] = iter_cached_cells(cache_dir, [job])
+    [(_, result, _)] = iter_cached_cells(cache_dir, [job])
     return result is not None
 
 
@@ -912,15 +940,75 @@ def _store_cached(cache_dir: Optional[Path], job: CampaignJob, columns: Document
     if cache_dir is None or not is_builtin_spec(job.platform):
         return  # see iter_cached_cells: runtime factories are not fingerprintable
     text = columns if isinstance(columns, str) else encode_document(columns)
-    entry = record_line({"version": _ENTRY_LAYOUT, "fingerprint": job.fingerprint(),
-                         "job": job.to_dict()}, text)
-    path = _cache_path(cache_dir, job)
-    # A private temp file per write: two writers of one cell (a duplicate
-    # after a lease reclaim, two workers sharing a cache) never replace
-    # each other's half-written temp.
-    tmp = path.with_name(f"{path.stem}.{_unique_token()}.tmp")
-    write_in_directory(cache_dir, lambda: tmp.write_text(entry))
-    os.replace(tmp, path)
+    _write_entry(cache_dir, job, record_line({
+        "version": _ENTRY_LAYOUT, "fingerprint": job.fingerprint(), "job": job.to_dict(),
+    }, text))
+
+
+# --------------------------------------------------------------- noise probes
+@dataclass(frozen=True)
+class NoiseProbe:
+    """Figure 13's selfish-detour probe: one platform's suspension curve.
+
+    Not a cell (it runs no workflow), but cached next to the cells under a
+    fingerprint of everything its draws depend on, so a cache-served render
+    draws nothing.
+    """
+
+    platform: str
+    seed: int
+    memory_mb: Tuple[int, ...]
+    events: int
+
+    def fingerprint(self) -> str:
+        cpu_model = repr(vars(resolve_platform(self.platform).cpu_model))
+        canonical = json.dumps([self.platform, cpu_model, self.seed, list(self.memory_mb),
+                                self.events])
+        return hashlib.sha256(f"v{CACHE_VERSION}:noise:{canonical}".encode()).hexdigest()
+
+    def draw(self) -> List[Dict[str, float]]:
+        """The curve's rows, in memory order."""
+        from ..sim.noise import NoiseModel
+        from ..sim.rng import RandomStreams
+
+        model = NoiseModel(self.platform, resolve_platform(self.platform).cpu_model,
+                           RandomStreams(self.seed))
+        curve = model.suspension_curve(self.memory_mb, events=self.events)
+        return [{"memory_mb": float(memory), **values} for memory, values in sorted(curve.items())]
+
+
+def _read_probe(cache_dir: Path, probe: NoiseProbe, fingerprint: str) -> Optional[List]:
+    """The entry's rows; a missing, torn or malformed entry reads as None."""
+    try:
+        entry = parse_json_object(_cache_path(cache_dir, probe).read_bytes()) or {}
+    except OSError:
+        return None
+    rows = entry.get("result")
+    valid = (entry.get("fingerprint") == fingerprint and isinstance(rows, list)
+             and len(rows) == len(probe.memory_mb) and all(isinstance(r, dict) for r in rows))
+    return rows if valid else None
+
+
+def run_probes(
+    campaign: CampaignResult, probes: Iterable[NoiseProbe],
+    cache_dir: Optional[Union[str, Path]], draw: bool = True,
+) -> CampaignResult:
+    """Attach each probe's rows to ``campaign``: read from the cell cache,
+    else (with ``draw``) drawn once and stored there.  Without ``draw`` an
+    absent probe stays absent, and so does the artifact that needs it."""
+    cache_path = Path(cache_dir) if cache_dir is not None else None
+    for probe in probes:
+        fingerprint = probe.fingerprint()
+        rows = campaign.probes.get(fingerprint) or (
+            _read_probe(cache_path, probe, fingerprint) if cache_path is not None else None)
+        if rows is None and draw:
+            rows = probe.draw()
+            if cache_path is not None:
+                _write_entry(cache_path, probe, json.dumps(
+                    {"fingerprint": fingerprint, "probe": asdict(probe), "result": rows}))
+        if rows is not None:
+            campaign.probes[fingerprint] = rows
+    return campaign
 
 
 # ------------------------------------------------------------------ execution
@@ -1257,8 +1345,10 @@ def drive_cells(
     Probes the cell cache (:func:`iter_cached_cells`), executes the misses
     through :func:`run_cells`, and writes each fresh result back to the
     cache.  Finished cells go to ``deliver`` as lists of ``(job, document,
-    result, elapsed_s)``: a cache hit as its decoded ``result`` alone,
-    consecutive hits in lists of up to ``MAX_CHUNK_CELLS``; freshly executed
+    result, elapsed_s)``: a cache hit as its decoded ``result`` (with
+    ``encode_documents`` also its entry's column text as ``document``, when
+    the entry keeps it as stored), consecutive hits in lists of up to
+    ``MAX_CHUNK_CELLS``; freshly executed
     cells as their column ``document`` (decoding is the sink's business) and
     observed wall cost, one list per settled chunk (see :func:`run_cells`),
     as :func:`encode_document` text with ``encode_documents``.  The cache
@@ -1284,12 +1374,12 @@ def drive_cells(
     # One pause over the whole scan: re-enabling per cell would restart the
     # young-to-old collection cascade over the results decoded so far.
     with collector_paused():
-        for job, result in iter_cached_cells(cache_path, jobs):
+        for job, result, text in iter_cached_cells(cache_path, jobs, encode_documents):
             if result is None:
                 pending.append(job)
             else:
                 cache_hits.inc()
-                hits.append((job, None, result, None))
+                hits.append((job, text, result, None))
                 if progress is not None:
                     progress(job, True)
             if hits and (result is None or len(hits) == MAX_CHUNK_CELLS):

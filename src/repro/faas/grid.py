@@ -495,8 +495,9 @@ def run_grid_worker(
                 # these to size the fleet.  Merge/scan ignore unknown keys.
                 fields["elapsed_s"] = round(float(elapsed_s), 6)
             # A fresh document arrives as column text (encode_documents
-            # below); a cache hit is logged too, so a merge needs only the
-            # logs, its columns rebuilt from the decoded result.
+            # below), and so does a cache hit, as its entry stores it; a hit
+            # is logged too, so a merge needs only the logs.  Only an entry
+            # of an older layout has its columns rebuilt from the result.
             text = document or encode_document(result_to_columns(result_to_dict(result)))
             job_shard, line = record(job, fields, text)  # type: ignore[arg-type]
             by_shard.setdefault(job_shard, []).append(line)
@@ -579,7 +580,7 @@ def merge_run(
                     continue  # corrupt record; a duplicate or the cache may supply it
                 merged[fingerprint] = (result, bool(record.get("from_cache", False)))
         unmerged = [job for job in jobs if job.fingerprint() not in merged]
-        for job, result in iter_cached_cells(cache_dir, unmerged):
+        for job, result, _ in iter_cached_cells(cache_dir, unmerged):
             if result is not None:
                 merged[job.fingerprint()] = (result, True)
     missing = [job for job in unmerged if job.fingerprint() not in merged]

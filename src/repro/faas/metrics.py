@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.stats import interquartile_range, percentile, sample_stdev
+from ..analysis.stats import percentile, sample_stdev
 from ..core.critical_path import RuntimeBreakdown, WorkflowMeasurement, scaling_profile
 
 
@@ -56,13 +56,6 @@ class BenchmarkSummary:
     @property
     def mean_overhead(self) -> float:
         return statistics.fmean(self.overheads) if self.overheads else 0.0
-
-    @property
-    def runtime_iqr(self) -> float:
-        if len(self.runtimes) < 4:
-            return 0.0
-        q1, q3 = interquartile_range(self.runtimes)
-        return q3 - q1
 
     @property
     def coefficient_of_variation(self) -> float:

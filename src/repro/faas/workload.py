@@ -155,6 +155,7 @@ class WorkloadSpec:
         ``duration`` seconds; arrivals are placed deterministically at the
         inverse of the cumulative rate function.
         """
+        _check_finite("ramp", start_rate=start_rate, end_rate=end_rate, duration=duration)
         if duration <= 0:
             raise ValueError("ramp duration must be positive")
         if start_rate < 0 or end_rate < 0 or (start_rate == 0 and end_rate == 0):
@@ -190,6 +191,8 @@ class WorkloadSpec:
         arrivals = tuple(sorted(float(t) for t in timestamps))
         if not arrivals:
             raise ValueError("a trace workload needs at least one arrival timestamp")
+        if not all(map(math.isfinite, arrivals)):
+            raise ValueError("trace timestamps must be finite")
         if arrivals[0] < 0:
             raise ValueError("trace timestamps must be non-negative")
         if len(arrivals) > MAX_ARRIVALS:
@@ -398,7 +401,15 @@ def _coerce(value: str) -> object:
         return value
 
 
+def _check_finite(kind: str, **values: float) -> None:
+    """NaN passes every ``<=`` check and infinity overflows the schedule."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
+
+
 def _check_open_loop_volume(kind: str, rate: float, duration: float) -> None:
+    _check_finite(kind, rate=rate, duration=duration)
     if rate <= 0:
         raise ValueError(f"{kind} rate must be positive")
     if duration <= 0:

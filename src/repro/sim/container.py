@@ -70,10 +70,6 @@ class Container:
     #: Position of this container in its pool's list (free-list index).
     index: int = 0
 
-    @property
-    def is_new(self) -> bool:
-        return self.invocations == 0 and self.active <= 1
-
 
 @dataclass(slots=True)
 class AcquireResult:

@@ -197,8 +197,5 @@ class RandomStreams:
             return 0.0
         return float(self.stream(name).exponential(mean))
 
-    def choice_bool(self, name: str, probability_true: float) -> bool:
-        return bool(self.stream(name).random() < probability_true)
-
     def integers(self, name: str, low: int, high: int) -> int:
         return int(self.stream(name).integers(low, high))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..rng import RandomStreams
 
@@ -112,9 +112,6 @@ class NoSQLStorage:
         if name not in self._tables:
             raise NoSQLError(f"table {name!r} does not exist")
         return self._tables[name]
-
-    def table_names(self) -> List[str]:
-        return sorted(self._tables)
 
     # -------------------------------------------------------------- operations
     def put_item(

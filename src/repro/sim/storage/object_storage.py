@@ -73,7 +73,6 @@ class ObjectStorage:
         self._streams = streams
         self._platform = platform
         self._objects: Dict[str, StoredObject] = {}
-        self._concurrent_transfers = 0
         self.transfers: list[TransferRecord] = []
 
     # ------------------------------------------------------------------ data
@@ -108,16 +107,6 @@ class ObjectStorage:
         return sum(obj.size_bytes for obj in self._objects.values())
 
     # ---------------------------------------------------------------- timing
-    def begin_transfer(self) -> None:
-        self._concurrent_transfers += 1
-
-    def end_transfer(self) -> None:
-        self._concurrent_transfers = max(0, self._concurrent_transfers - 1)
-
-    @property
-    def concurrent_transfers(self) -> int:
-        return self._concurrent_transfers
-
     def transfer_duration(
         self,
         size_bytes: int,
@@ -134,7 +123,7 @@ class ObjectStorage:
         """
         if size_bytes < 0:
             raise StorageError("transfer size must be non-negative")
-        active = max(1, concurrency if concurrency is not None else self._concurrent_transfers or 1)
+        active = max(1, concurrency if concurrency is not None else 1)
         fair_share = self._profile.aggregate_bandwidth_bps / active
         bandwidth = min(self._profile.per_function_bandwidth_bps, fair_share)
         base = self._profile.request_latency_s + size_bytes / max(1.0, bandwidth)

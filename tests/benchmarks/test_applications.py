@@ -11,7 +11,7 @@ from repro.benchmarks.registry import (
     benchmark_names,
 )
 from repro.faas import Deployment
-from repro.sim import Platform, resolve_platform
+from repro.sim.platforms import Platform, resolve_platform
 
 
 def run_once(benchmark, platform_name="aws", seed=1, invocation="t0"):

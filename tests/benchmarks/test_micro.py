@@ -4,7 +4,7 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.faas import Deployment
-from repro.sim import Platform, resolve_platform
+from repro.sim.platforms import Platform, resolve_platform
 
 
 def run_once(benchmark, platform_name="aws", seed=1):

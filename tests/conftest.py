@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.artifacts import execute_plan, plan_artifacts, render_plan
 from repro.core.definition import WorkflowDefinition
-from repro.sim import FunctionSpec, Platform, resolve_platform
+from repro.sim.invocation import FunctionSpec
+from repro.sim.platforms import Platform, resolve_platform
 from repro.sim.platforms import spec as platform_spec_module
 
 

@@ -329,6 +329,23 @@ class TestR009TelemetryPurity:
         assert "set_monitor" not in findings[0].message
         assert "EngineMonitor" in findings[0].hint
 
+    def test_analysis_paths_ban_random_draw_imports(self):
+        from repro.devtools.lint.rules import TelemetryPurityRule
+
+        findings = lint_fixture("analysis/r009_analysis_bad.py", TelemetryPurityRule())
+        assert [f.message for f in findings] == [
+            "render module imports numpy.random",
+            "render module imports numpy.random",
+            "render module imports sim.noise",
+            "render module imports sim.rng",
+        ]
+        assert all("NoiseProbe" in f.hint for f in findings)
+
+    def test_analysis_paths_may_read_probes_and_platform_data(self):
+        from repro.devtools.lint.rules import TelemetryPurityRule
+
+        assert lint_fixture("analysis/r009_analysis_good.py", TelemetryPurityRule()) == []
+
     def test_observability_and_devtools_paths_are_skipped(self, tmp_path):
         from repro.devtools.lint.framework import run_lint
         from repro.devtools.lint.rules import TelemetryPurityRule

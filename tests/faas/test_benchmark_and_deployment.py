@@ -5,7 +5,8 @@ import pytest
 from repro.benchmarks import get_benchmark
 from repro.core.definition import WorkflowDefinition
 from repro.faas import Deployment, WorkflowBenchmark
-from repro.sim import FunctionSpec, Platform, resolve_platform
+from repro.sim.invocation import FunctionSpec
+from repro.sim.platforms import Platform, resolve_platform
 
 
 def tiny_benchmark() -> WorkflowBenchmark:

@@ -226,7 +226,7 @@ def test_a_deeply_nested_entry_is_a_miss(tmp_path):
     first = run_campaign(_spec(), workers=1, cache_dir=tmp_path)
     path = _cache_path(tmp_path, job)
     path.write_text("[" * 100_000)
-    assert list(iter_cached_cells(tmp_path, [job])) == [(job, None)]
+    assert list(iter_cached_cells(tmp_path, [job])) == [(job, None, None)]
     assert not probe_cache(tmp_path, job)
     rerun = run_campaign(_spec(), workers=1, cache_dir=tmp_path)
     assert rerun.cache_hits == 0

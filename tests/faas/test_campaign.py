@@ -21,7 +21,7 @@ from repro.faas import (
 )
 from repro.benchmarks import get_benchmark
 from repro.faas.results import result_from_columns, result_to_columns
-from repro.sim import PlatformSpec, load_scenarios
+from repro.sim.platforms import PlatformSpec, load_scenarios
 
 
 # Crash injection for the broken-pool tests: must be module-level functions so
@@ -244,7 +244,7 @@ class TestCampaignCache:
         # ... and the recomputed cell was written back.
         assert job.fingerprint() in real_scan(tmp_path)
         assert list(campaign_module.iter_cached_cells(tmp_path / "gone", [job])) == \
-            [(job, None)]
+            [(job, None, None)]
 
     def test_store_leaves_a_rival_writers_temp_file_alone(self, tmp_path):
         """Two writers of one cell (a duplicate after a lease reclaim, two
@@ -263,7 +263,7 @@ class TestCampaignCache:
         assert rival.read_text() == "half-written by a rival"
         assert sorted(path.name for path in tmp_path.iterdir()) == \
             sorted([rival.name, f"{job.fingerprint()}.json"])
-        [(_, result)] = iter_cached_cells(tmp_path, [job])
+        [(_, result, _)] = iter_cached_cells(tmp_path, [job])
         assert result_to_dict(result) == document
 
     def test_stores_make_a_missing_cache_directory_once(self, tmp_path, monkeypatch):
@@ -292,7 +292,7 @@ class TestCampaignCache:
         shutil.rmtree(cache)
         _store_cached(cache, jobs[0], encode_document(columns[0]))
         assert made == [cache, cache]
-        [(_, result)] = iter_cached_cells(cache, jobs[:1])
+        [(_, result, _)] = iter_cached_cells(cache, jobs[:1])
         assert result_to_columns(result_to_dict(result)) == columns[0]
 
     def test_undecodable_entry_probes_as_a_miss(self, tmp_path):
@@ -833,7 +833,7 @@ class TestPlatformSpecSweep:
     def test_runtime_registered_platform_runs_in_parent_process(self):
         """Platforms registered at runtime exist only in this process, so
         their cells must not ship to pool workers."""
-        from repro.sim import aws_profile, register_platform
+        from repro.sim.platforms import aws_profile, register_platform
         from repro.sim.platforms.spec import is_builtin_spec
 
         register_platform("edge-parent-test", lambda: aws_profile(region="edge-1"))
@@ -852,7 +852,7 @@ class TestPlatformSpecSweep:
     def test_runtime_registered_platform_bypasses_the_result_cache(self, tmp_path):
         """The fingerprint cannot cover a runtime factory's behaviour, so
         editing the factory must never serve stale cached cells."""
-        from repro.sim import aws_profile, register_platform
+        from repro.sim.platforms import aws_profile, register_platform
 
         register_platform("edge-cache-test", lambda: aws_profile(region="edge-1"))
         spec = small_spec(
@@ -873,7 +873,7 @@ class TestPlatformSpecSweep:
     def test_scenario_file_may_pin_an_extrapolated_era(self, tmp_path):
         """A scenario pinning an unregistered era declares it instead of
         registering something unusable."""
-        from repro.sim import available_eras
+        from repro.sim.platforms import available_eras
 
         scenario_file = tmp_path / "scenarios.json"
         scenario_file.write_text(json.dumps({
@@ -902,7 +902,7 @@ class TestPlatformSpecSweep:
             """
             import multiprocessing as mp
             mp.set_start_method("spawn", force=True)
-            from repro.sim import aws_profile, register_era, register_platform
+            from repro.sim.platforms import aws_profile, register_era, register_platform
             from repro.faas import CampaignSpec, run_campaign
             register_platform("edge-spawn-test", lambda: aws_profile(region="edge-1"))
             register_era("2026")

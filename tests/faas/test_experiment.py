@@ -26,7 +26,7 @@ from repro.faas.results import (
     save_result,
 )
 from repro.observability import MetricsRegistry, use_registry
-from repro.sim import Platform, PlatformSpec, resolve_platform
+from repro.sim.platforms import Platform, PlatformSpec, resolve_platform
 
 
 @pytest.mark.parametrize("recording", [False, True], ids=["null-registry", "recording"])

@@ -714,6 +714,44 @@ class TestGridExecution:
             assert from_cache and not executed_records[fingerprint][0]
             assert result == executed_records[fingerprint][1]
 
+    def test_cache_served_records_carry_the_entry_text_as_stored(self, tmp_path, monkeypatch):
+        """A cache hit's record splices in its entry's column text: no
+        column document is built or encoded again.  An entry an older
+        writer laid out (other key order) is still rebuilt from its result."""
+        spec = tiny_spec()
+        cache = tmp_path / "cache"
+        run_campaign(spec, workers=1, cache_dir=cache)
+        older = cache / f"{spec.expand()[0].fingerprint()}.json"
+        entry = json.loads(older.read_text())
+        older.write_text(json.dumps({key: entry[key] for key in
+                                     ("version", "fingerprint", "job", "result")}))
+        rebuilt = []
+
+        def spy(name):
+            real = getattr(grid, name)
+
+            def spied(document):
+                rebuilt.append(name)
+                return real(document)
+            return spied
+
+        for name in ("encode_document", "result_to_columns", "result_to_dict"):
+            monkeypatch.setattr(grid, name, spy(name))
+        run = GridRun.create(spec, tmp_path / "run", shard_count=2)
+        assert run_grid_worker(run, workers=1, cache_dir=cache).cache_hits == 4
+        assert rebuilt == ["result_to_dict", "result_to_columns", "encode_document"]
+        records = [line for path in sorted((tmp_path / "run").rglob("*.jsonl"))
+                   for line in path.read_text().splitlines()]
+        assert len(records) == 4
+        for line in records:
+            fingerprint = json.loads(line)["fingerprint"]
+            stored = (cache / f"{fingerprint}.json").read_text()
+            if fingerprint == entry["fingerprint"]:
+                assert json.loads(line)["result"] == entry["result"]
+                continue
+            text = stored[stored.index(', "result": ') + 12:-len(', "version": 5}')]
+            assert f'"result": {text}, "shard": ' in line
+
     def test_warm_cells_decode_once_per_reader(self, tmp_path, monkeypatch):
         """On a warm cache ``run_campaign`` decodes each cell exactly once;
         a grid worker plus ``merge_run`` decodes it exactly twice (once to

@@ -29,7 +29,7 @@ from repro.faas import (
     run_benchmark,
     run_campaign,
 )
-from repro.sim import Platform, resolve_platform
+from repro.sim.platforms import Platform, resolve_platform
 from repro.sim.rng import RandomStreams
 
 
@@ -79,6 +79,30 @@ class TestWorkloadSpec:
             WorkloadSpec.parse("poisson:rate")
         with pytest.raises(ValueError):
             WorkloadSpec.parse("poisson:rate=50,unknown=1")
+
+    @pytest.mark.parametrize("text, message", [
+        ("poisson:rate=nan,duration=10", "poisson rate must be finite"),
+        ("poisson:rate=1,duration=nan", "poisson duration must be finite"),
+        ("poisson:rate=inf,duration=10", "poisson rate must be finite"),
+        ("constant:rate=nan,duration=10", "constant rate must be finite"),
+        ("constant:rate=1,duration=nan", "constant duration must be finite"),
+        ("ramp:start_rate=nan,end_rate=2,duration=10", "ramp start_rate must be finite"),
+        ("ramp:start_rate=1,end_rate=nan,duration=10", "ramp end_rate must be finite"),
+        ("ramp:start_rate=1,end_rate=2,duration=nan", "ramp duration must be finite"),
+    ])
+    def test_parse_rejects_non_finite_parameters(self, text, message):
+        """NaN passes every ``<= 0`` and cap comparison, so it used to parse."""
+        with pytest.raises(ValueError, match=message):
+            WorkloadSpec.parse(text)
+
+    def test_trace_rejects_non_finite_timestamps(self, tmp_path):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="trace timestamps must be finite"):
+                WorkloadSpec.trace(timestamps=(1.0, bad))
+        path = tmp_path / "arrivals.json"
+        path.write_text("[1.0, NaN, 2.0]")
+        with pytest.raises(ValueError, match="trace timestamps must be finite"):
+            WorkloadSpec.parse(f"trace:path={path}")
 
     def test_specs_are_hashable_and_picklable(self):
         specs = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RandomStreams
+from repro.sim.rng import RandomStreams
 from repro.sim.container import ContainerPool, ScalingPolicy
 from repro.sim.engine import Environment
 

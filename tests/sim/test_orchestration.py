@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.definition import WorkflowDefinition
-from repro.sim import FunctionSpec, Platform, resolve_platform
+from repro.sim.invocation import FunctionSpec
+from repro.sim.platforms import Platform, resolve_platform
 from repro.sim.orchestration.events import OrchestrationError, payload_size_bytes, resolve_array
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
+from repro.sim.platforms import (
     Override,
     PlatformSpec,
     available_eras,
@@ -372,5 +372,5 @@ class TestRemovedShim:
         import repro.sim.platforms
 
         assert not hasattr(repro.sim, "get_profile")
-        assert "get_profile" not in repro.sim.__all__
+        assert "get_profile" not in repro.sim.platforms.__all__
         assert not hasattr(repro.sim.platforms, "get_profile")

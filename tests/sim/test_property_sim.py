@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams
+from repro.sim.rng import RandomStreams
 from repro.sim.billing import AWS_PRICING, BillingCalculator, FunctionExecutionRecord
 from repro.sim.container import ContainerPool, ScalingPolicy
 from repro.sim.engine import Environment

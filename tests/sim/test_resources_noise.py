@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.sim import MEMORY_CONFIGURATIONS_MB, NoiseModel, RandomStreams
+from repro.sim.noise import NoiseModel
+from repro.sim.resources import MEMORY_CONFIGURATIONS_MB
+from repro.sim.rng import RandomStreams
 from repro.sim.resources import aws_cpu_model, azure_cpu_model, gcp_cpu_model, hpc_cpu_model
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import RandomStreams
+from repro.sim.rng import RandomStreams
 from repro.sim.storage.metrics_store import MeasurementRecord, MetricsStore
 from repro.sim.storage.nosql import NoSQLError, NoSQLProfile, NoSQLStorage
 from repro.sim.storage.object_storage import ObjectStorage, StorageError, StorageProfile

@@ -19,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import MEMORY_CONFIGURATIONS_MB, NoiseModel, RandomStreams
 from repro.sim import rng
-from repro.sim.noise import DetourEvent, DetourTrace
-from repro.sim.resources import aws_cpu_model, azure_cpu_model, gcp_cpu_model, hpc_cpu_model
+from repro.sim.noise import DetourEvent, DetourTrace, NoiseModel
+from repro.sim.resources import (
+    MEMORY_CONFIGURATIONS_MB, aws_cpu_model, azure_cpu_model, gcp_cpu_model, hpc_cpu_model,
+)
+from repro.sim.rng import RandomStreams
 from repro.sim.rng import derive_stream_seed, named_stream
 
 

@@ -283,6 +283,11 @@ class TestWorkloadCli:
         assert main(["run", "ml", "--workload", "chaotic"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_workload_exits_2_at_parse_time(self, capsys):
+        assert main(["campaign", "--benchmarks", "mapreduce", "--platforms", "aws",
+                     "--workload", "poisson:rate=nan,duration=10", "--dry-run"]) == 2
+        assert "poisson rate must be finite" in capsys.readouterr().err
+
     def test_campaign_with_workload_sweep(self, tmp_path, capsys):
         code = main([
             "campaign", "--benchmarks", "function_chain", "--platforms", "aws",

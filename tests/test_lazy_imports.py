@@ -93,6 +93,25 @@ print("lean")
 """
 
 
+CACHE_SERVED_SCRIPT = """
+import sys
+
+import repro.sim.noise
+from repro.cli import main
+
+
+def drawn(*args, **kwargs):
+    raise AssertionError("the render drew a suspension curve")
+
+
+repro.sim.noise.NoiseModel.suspension_curve = drawn
+assert main(sys.argv[1:]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("numpy.random"))
+assert not loaded, loaded
+print("served")
+"""
+
+
 def run_script(script: str, *args: str) -> str:
     completed = subprocess.run(
         [sys.executable, "-c", script, *args],
@@ -141,3 +160,27 @@ def finished_run(tmp_path_factory) -> str:
 def test_a_verb_loads_no_devtools_server_asyncio_or_petri_net(verb, finished_run):
     argv = verb if verb[0] == "figures" else [*verb, finished_run]
     assert run_script(VERB_SCRIPT, *argv).splitlines()[-1] == "lean"
+
+
+@pytest.fixture(scope="module")
+def filled_cache(tmp_path_factory) -> str:
+    """The cell cache of a quick ``figures --all``, noise probes included."""
+    from repro.analysis.artifacts import (
+        ArtifactConfig, available_artifacts, execute_plan, plan_artifacts,
+    )
+
+    cache_dir = tmp_path_factory.mktemp("cache")
+    plan = plan_artifacts(available_artifacts(), ArtifactConfig(quick=True))
+    execute_plan(plan, workers=1, cache_dir=cache_dir)
+    return str(cache_dir)
+
+
+@pytest.mark.parametrize("render_only", [False, True], ids=["cached", "render-only"])
+def test_a_cache_served_paper_run_draws_nothing(filled_cache, render_only):
+    """Every cell and Figure 13's probes come from the cache: no noise curve
+    is drawn and ``numpy.random`` never loads."""
+    argv = ["figures", "--all", "--quick", "--cache-dir", filled_cache]
+    out = run_script(CACHE_SERVED_SCRIPT, *argv, *(["--render-only"] if render_only else []))
+    assert out.splitlines()[-1] == "served"
+    assert "Figure 13a: suspension time vs memory" in out
+    assert "pending" not in out
