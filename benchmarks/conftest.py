@@ -129,7 +129,7 @@ class LazyPaperCampaign:
         self._cells = {}
 
     def campaign_for(self, names):
-        from repro.faas import CampaignResult, CampaignSpec, run_campaign
+        from repro.faas.campaign import CampaignResult, CampaignSpec, run_campaign
         from repro.faas.campaign import run_probes
 
         plan = artifacts.plan_artifacts(names, ARTIFACT_CONFIG)

@@ -22,7 +22,9 @@ from dataclasses import replace
 from conftest import BURST_SIZE, SEED
 
 from repro.benchmarks import get_benchmark
-from repro.faas import Deployment, TriggerConfig, BurstTrigger, summarize
+from repro.faas.deployment import Deployment
+from repro.faas.metrics import summarize
+from repro.faas.trigger import TriggerConfig, BurstTrigger
 from repro.sim.platforms import Platform, resolve_platform
 
 

@@ -7,7 +7,8 @@ from conftest import BURST_SIZE, SEED
 from repro.analysis import report
 from repro.analysis.literature import coverage_fraction, expressiveness_summary
 from repro.benchmarks import get_benchmark
-from repro.faas import WorkloadSpec, run_benchmark
+from repro.faas.experiment import run_benchmark
+from repro.faas.workload import WorkloadSpec
 
 
 def test_sec61_model_expressiveness(benchmark):

@@ -18,15 +18,8 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import report
-from repro.faas import (
-    CampaignSpec,
-    GridRun,
-    grid_status,
-    merge_run,
-    plan_shards,
-    run_campaign,
-    run_grid_worker,
-)
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.grid import GridRun, grid_status, merge_run, plan_shards, run_grid_worker
 
 # 1. Declare the sweep: 2 benchmarks x 2 platforms x 2 seeds = 8 cells.
 spec = CampaignSpec(

@@ -16,7 +16,8 @@ import sys
 
 from repro.analysis import report
 from repro.benchmarks import benchmark_names, get_benchmark
-from repro.faas import WorkloadSpec, compare_platforms
+from repro.faas.experiment import compare_platforms
+from repro.faas.workload import WorkloadSpec
 
 DEFAULT_BENCHMARKS = ("mapreduce", "ml", "trip_booking")
 #: Platform specs to compare: the three 2024-era clouds and one variant.

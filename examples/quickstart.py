@@ -12,7 +12,10 @@ Run with:  python examples/quickstart.py
 from __future__ import annotations
 
 from repro.core.definition import WorkflowDefinition
-from repro.faas import Deployment, WorkflowBenchmark, WorkloadSpec, run_benchmark
+from repro.faas.benchmark import WorkflowBenchmark
+from repro.faas.deployment import Deployment
+from repro.faas.experiment import run_benchmark
+from repro.faas.workload import WorkloadSpec
 from repro.sim.invocation import FunctionSpec, InvocationContext
 
 

@@ -14,7 +14,8 @@ from repro.analysis import report
 from repro.analysis.stats import coefficient_of_variation, strong_scaling_speedups
 from repro.benchmarks import get_benchmark
 from repro.benchmarks.genome import create_individuals_scaling_benchmark
-from repro.faas import WorkloadSpec, run_benchmark
+from repro.faas.experiment import run_benchmark
+from repro.faas.workload import WorkloadSpec
 
 PLATFORMS = ("aws", "gcp", "azure", "hpc")
 JOB_COUNTS = (5, 10, 20)

@@ -48,6 +48,7 @@ from ..faas.campaign import (
     CampaignResult,
     CampaignSpec,
     NoiseProbe,
+    collector_paused,
     run_campaign,
     run_probes,
 )
@@ -529,11 +530,17 @@ def render_artifact(
 def render_plan(
     plan: ArtifactPlan, campaign: Optional[CampaignResult]
 ) -> Dict[str, RenderedArtifact]:
-    """Render every artifact of a plan (partial campaigns yield pending ones)."""
-    return {
-        artifact.name: render_artifact(artifact, campaign, plan.config)
-        for artifact in plan.artifacts
-    }
+    """Render every artifact of a plan (partial campaigns yield pending ones).
+
+    Under one collector pause: the renders build the record lists of the
+    cells they read (cache-served results build them on first read), and
+    make no reference cycles.
+    """
+    with collector_paused():
+        return {
+            artifact.name: render_artifact(artifact, campaign, plan.config)
+            for artifact in plan.artifacts
+        }
 
 
 def write_artifacts(

@@ -48,29 +48,30 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .analysis import artifacts as artifact_pipeline
 from .analysis import report
 from .benchmarks import benchmark_names, get_benchmark, parse_benchmark_spec
-from .faas import (
+from .core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
+from .faas.backends import create_backend
+from .faas.campaign import (
     CampaignError,
     CampaignResult,
     CampaignSpec,
+    iter_cached_cells,
+    load_cached_campaign,
+    run_campaign,
+    run_probes,
+)
+from .faas.experiment import compare_platforms, run_benchmark
+from .faas.grid import (
+    DEFAULT_LEASE_TTL_S,
     GridRun,
     autoscale_hint,
-    compare_platforms,
-    create_backend,
     grid_status,
     iter_partial_merges,
-    load_cached_campaign,
-    load_campaign_document,
     merge_run,
     parse_shard,
-    run_benchmark,
-    run_campaign,
     run_grid_worker,
     shard_of,
 )
-from .core.transcription import AWSTranscriber, AzureTranscriber, GCPTranscriber
-from .faas.campaign import iter_cached_cells, run_probes
-from .faas.grid import DEFAULT_LEASE_TTL_S
-from .faas.results import result_to_dict
+from .faas.results import load_campaign_document, result_to_dict
 from .observability import telemetry_session
 from .sim.platforms.spec import (
     DEFAULT_ERA,

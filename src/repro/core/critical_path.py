@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 
 @dataclass(slots=True)
@@ -101,22 +101,10 @@ class WorkflowMeasurement:
         return max(m.end for m in measurements) - min(m.start for m in measurements)
 
     def critical_path(self) -> float:
-        """Sum over phases of the maximum function runtime within the phase.
-
-        Single pass over the measurements: the per-phase maxima accumulate in
-        first-seen phase order, so the float sum matches the per-phase scan
-        exactly.
-        """
-        maxima: Dict[str, float] = {}
-        for m in self.functions:
-            duration = m.end - m.start
-            previous = maxima.get(m.phase)
-            if previous is None or duration > previous:
-                maxima[m.phase] = duration
-        total = 0.0
-        for value in maxima.values():
-            total += value
-        return total
+        """Sum over phases of the maximum function runtime within the phase."""
+        return phase_critical_path(
+            [m.phase for m in self.functions], [m.end - m.start for m in self.functions]
+        )
 
     def overhead(self) -> float:
         """Scheduling and data-movement overhead: runtime minus critical path."""
@@ -143,6 +131,24 @@ class WorkflowMeasurement:
         if not 0.0 <= suspension_share < 1.0:
             raise ValueError("suspension share must lie in [0, 1)")
         return self.critical_path() * (1.0 - suspension_share)
+
+
+def phase_critical_path(phases: Iterable[str], durations: Iterable[float]) -> float:
+    """The critical path of one invocation's records, given as two columns.
+
+    Single pass: the per-phase maxima (keyed by phase name, the first of
+    equal maxima kept) accumulate in first-seen phase order, so the float
+    sum matches a per-phase scan exactly.
+    """
+    maxima: Dict[str, float] = {}
+    for phase, duration in zip(phases, durations):
+        previous = maxima.get(phase)
+        if previous is None or duration > previous:
+            maxima[phase] = duration
+    total = 0.0
+    for value in maxima.values():
+        total += value
+    return total
 
 
 @dataclass

@@ -1,154 +1,5 @@
-"""Benchmark-suite layer: benchmarks, deployment, workloads, experiments, cost."""
+"""Benchmark-suite layer: benchmarks, deployment, workloads, experiments, cost.
 
-from .benchmark import WorkflowBenchmark
-from .campaign import (
-    CampaignCell,
-    CampaignError,
-    CampaignJob,
-    CampaignResult,
-    CampaignSpec,
-    CellFailure,
-    derive_job_seed,
-    load_cached_campaign,
-    probe_cache,
-    run_campaign,
-    run_cells,
-)
-from .cost import CostReport, combine_cost_reports, compute_cost_report
-from .deployment import Deployment, InvocationResult
-from .experiment import (
-    ExperimentConfig,
-    ExperimentResult,
-    ExperimentRunner,
-    RepetitionResult,
-    compare_platforms,
-    derive_platform_seed,
-    run_benchmark,
-)
-from .metrics import (
-    BenchmarkSummary,
-    OpenLoopSummary,
-    container_scaling_profile,
-    distinct_containers,
-    open_loop_summary,
-    open_loop_summary_over_repetitions,
-    split_warm_cold,
-    summarize,
-)
-from .backends import (
-    FileBackend,
-    GridBackend,
-    MemoryBackend,
-    create_backend,
-    memory_backend,
-)
-from .grid import (
-    DEFAULT_LEASE_TTL_S,
-    AutoscaleHint,
-    GridRun,
-    GridWorkerReport,
-    LeaseQueue,
-    LeaseStatus,
-    ShardStatus,
-    autoscale_hint,
-    grid_status,
-    iter_partial_merges,
-    merge_run,
-    parse_shard,
-    plan_shards,
-    run_grid_worker,
-    shard_of,
-)
-from .results import (
-    ResultLog,
-    iter_campaign_cell_results,
-    load_campaign_document,
-    load_measurements,
-    measurement_from_dict,
-    measurement_to_dict,
-    result_from_dict,
-    result_to_dict,
-    save_result,
-)
-from .trigger import (
-    BurstTrigger,
-    OpenLoopTrigger,
-    TriggerConfig,
-    WarmTrigger,
-    WorkloadExecutor,
-    invocation_id_base,
-    repetition_of_invocation,
-)
-from .workload import WorkloadSpec
-
-__all__ = [
-    "AutoscaleHint",
-    "BenchmarkSummary",
-    "BurstTrigger",
-    "CampaignCell",
-    "CampaignError",
-    "CampaignJob",
-    "CampaignResult",
-    "CampaignSpec",
-    "CellFailure",
-    "CostReport",
-    "DEFAULT_LEASE_TTL_S",
-    "Deployment",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "FileBackend",
-    "GridBackend",
-    "GridRun",
-    "GridWorkerReport",
-    "InvocationResult",
-    "LeaseQueue",
-    "LeaseStatus",
-    "MemoryBackend",
-    "OpenLoopSummary",
-    "OpenLoopTrigger",
-    "RepetitionResult",
-    "ResultLog",
-    "ShardStatus",
-    "TriggerConfig",
-    "WarmTrigger",
-    "WorkflowBenchmark",
-    "WorkloadExecutor",
-    "WorkloadSpec",
-    "autoscale_hint",
-    "combine_cost_reports",
-    "compare_platforms",
-    "compute_cost_report",
-    "container_scaling_profile",
-    "create_backend",
-    "derive_job_seed",
-    "derive_platform_seed",
-    "distinct_containers",
-    "grid_status",
-    "invocation_id_base",
-    "iter_campaign_cell_results",
-    "iter_partial_merges",
-    "load_cached_campaign",
-    "load_campaign_document",
-    "load_measurements",
-    "measurement_from_dict",
-    "measurement_to_dict",
-    "memory_backend",
-    "merge_run",
-    "open_loop_summary",
-    "open_loop_summary_over_repetitions",
-    "parse_shard",
-    "plan_shards",
-    "probe_cache",
-    "repetition_of_invocation",
-    "result_from_dict",
-    "result_to_dict",
-    "run_benchmark",
-    "run_campaign",
-    "run_cells",
-    "run_grid_worker",
-    "save_result",
-    "shard_of",
-    "split_warm_cold",
-    "summarize",
-]
+Re-exports nothing: import from the submodules (``repro.faas.campaign``,
+``repro.faas.grid``, ``repro.faas.experiment``, ...).
+"""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.critical_path import WorkflowMeasurement
 from ..observability import EngineMonitor, current_registry
@@ -130,6 +130,32 @@ class ExperimentResult:
     cost: Optional[CostReport] = None
     scaling_profile: List[Dict[str, float]] = field(default_factory=list)
     containers_created: int = 0
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only while ``name`` is unset: a result decoded from the
+        # cell cache's column layout (repro.faas.results) leaves its record
+        # lists unset and builds each one on its first read.
+        unbuilt = self.__dict__.get("_unbuilt", {})
+        if name not in unbuilt:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        build, args = unbuilt[name]
+        value = self.__dict__[name] = build(*args)
+        # A new dict, not a pop: a shallow copy shares the old one.
+        self._unbuilt = {key: item for key, item in unbuilt.items() if key != name}
+        return value
+
+    def build_on_first_read(
+        self, unbuilt: Dict[str, Tuple[Callable[..., list], tuple]]
+    ) -> None:
+        """Unset each named list; its first read sets it to ``build(*args)``.
+
+        ``build`` is a module-level function and ``args`` plain data, so an
+        unbuilt result still pickles and copies; equality, ``repr`` and
+        ``dataclasses.replace`` read, and so build, every list.
+        """
+        for name in unbuilt:
+            delattr(self, name)
+        self._unbuilt = unbuilt
 
     @property
     def median_runtime(self) -> float:

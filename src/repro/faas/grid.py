@@ -578,6 +578,10 @@ def merge_run(
                     result = result_from_columns(result_document)
                 except DECODE_ERRORS:
                     continue  # corrupt record; a duplicate or the cache may supply it
+                # Built now, while the record's parse is fresh: built later,
+                # the lists leave the fold's columns to be freed among the
+                # records, and a 192-cell grid's peak RSS rises ~0.45 MiB.
+                result.measurements, result.orchestration_stats, result.scaling_profile
                 merged[fingerprint] = (result, bool(record.get("from_cache", False)))
         unmerged = [job for job in jobs if job.fingerprint() not in merged]
         for job, result, _ in iter_cached_cells(cache_dir, unmerged):

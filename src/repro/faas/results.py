@@ -17,15 +17,16 @@ from binascii import a2b_base64, b2a_base64
 from dataclasses import asdict
 from pathlib import Path
 from itertools import accumulate
+from operator import lt, sub
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..core.critical_path import FunctionMeasurement, WorkflowMeasurement
+from ..core.critical_path import FunctionMeasurement, WorkflowMeasurement, phase_critical_path
 from ..sim.billing import CostBreakdown
 from ..sim.orchestration.events import OrchestrationStats
 from ..sim.platforms.spec import PlatformSpec
 from .cost import CostReport
 from .experiment import ExperimentConfig, ExperimentResult
-from .metrics import open_loop_summary_over_repetitions, summarize
+from .metrics import BenchmarkSummary, open_loop_summary_over_repetitions, summarize
 from .trigger import repetition_of_invocation
 from .workload import WorkloadSpec
 
@@ -183,7 +184,10 @@ def result_from_columns(document: Dict[str, object]) -> ExperimentResult:
     """Rebuild an :class:`ExperimentResult` from :func:`result_to_columns` output.
 
     Same coercions, same derived data and the same error contract as
-    :func:`result_from_dict`: only the lists are read from column tables.
+    :func:`result_from_dict`, but the record lists are built on their first
+    read: the decode checks every column and computes the summary from the
+    columns, so a malformed document still raises here and a first read
+    never does.
     """
     return _decode(document, _column_lists)
 
@@ -296,17 +300,14 @@ def _column(node: object, what: str) -> Union[list, array]:
     return values
 
 
-#: What each layout's list reader hands the shared decode tail: the
-#: measurements, the orchestration stats and the scaling profile.
-_Lists = Tuple[List[WorkflowMeasurement], List[OrchestrationStats], list]
+#: What each layout's list reader does for the shared decode tail: set the
+#: result's record lists (or how to build them) and return their summary.
+_ListReader = Callable[[Dict[str, object], ExperimentResult], BenchmarkSummary]
 
 
-def _decode(
-    document: Dict[str, object],
-    lists: Callable[[Dict[str, object]], _Lists],
-) -> ExperimentResult:
+def _decode(document: Dict[str, object], read_lists: _ListReader) -> ExperimentResult:
     try:
-        return _assemble(document, *lists(document))
+        return _assemble(document, read_lists)
     except OverflowError as error:
         # A JSON integer too large for a float is an out-of-range value.
         raise ValueError(f"result document holds an out-of-range number: {error}") from error
@@ -319,16 +320,14 @@ def _object(node: object, what: str) -> Dict[str, object]:
     return node
 
 
-def _row_lists(document: Dict[str, object]) -> _Lists:
+def _row_lists(document: Dict[str, object], result: ExperimentResult) -> BenchmarkSummary:
     """Measurements, orchestration stats and scaling profile of a row document."""
-    platform, benchmark = document["platform"], document["benchmark"]
-    orchestration = []
     for entry in document.get("orchestration", []):  # type: ignore[union-attr]
         entry = _object(entry, "an orchestration entry")
-        orchestration.append(
+        result.orchestration_stats.append(
             OrchestrationStats(
-                platform=str(entry.get("platform", platform)),
-                workflow=str(entry.get("workflow", benchmark)),
+                platform=str(entry.get("platform", result.platform)),
+                workflow=str(entry.get("workflow", result.benchmark)),
                 invocation_id=str(entry["invocation_id"]),
                 state_transitions=int(entry["state_transitions"]),
                 orchestrator_time_s=float(entry["orchestrator_time_s"]),
@@ -337,57 +336,113 @@ def _row_lists(document: Dict[str, object]) -> _Lists:
                 finished_at=float(entry.get("finished_at", 0.0)),
             )
         )
-    return (
-        [measurement_from_dict(m) for m in document.get("measurements", [])],  # type: ignore[union-attr]
-        orchestration,
-        list(document.get("scaling_profile", [])),  # type: ignore[call-overload]
-    )
+    result.measurements = [
+        measurement_from_dict(m) for m in document.get("measurements", [])  # type: ignore[union-attr]
+    ]
+    result.scaling_profile = list(document.get("scaling_profile", []))  # type: ignore[call-overload]
+    return summarize(result.benchmark, result.platform, result.measurements)
 
 
-def _column_lists(document: Dict[str, object]) -> _Lists:
-    """The same three lists, read from the column tables of :func:`result_to_columns`."""
+def _column_lists(document: Dict[str, object], result: ExperimentResult) -> BenchmarkSummary:
+    """The same three lists, from the column tables of :func:`result_to_columns`,
+    left for the result to build on first read.
+
+    Every column that can fail its field's coercion is coerced here and
+    every record is checked as its constructor checks it, so the builds
+    cannot raise; the summary is computed from the columns.
+    """
     names = document["names"]
     if not isinstance(names, list):
         raise TypeError("the name table must be a JSON array")
     # A dict, not the list: an out-of-range or negative index is a KeyError
     # instead of an IndexError or a silent wrap-around.
     name = dict(enumerate(map(str, names))).__getitem__
-    # Every column goes through the row decoder's coercion of its field.
-    records = list(map(FunctionMeasurement, *map(
-        map, (name, name, float, float, str, str, bool),
-        _table(document["functions"], _FUNCTION_FIELDS, "the function table"),
-    )))
+    function, phase, start, end, request_id, container_id, cold_start = _table(
+        document["functions"], _FUNCTION_FIELDS, "the function table"
+    )
+    function, phase = list(map(name, function)), list(map(name, phase))
+    start, end = _floats(start), _floats(end)
+    if any(map(lt, end, start)):
+        raise ValueError("a function record ends before it starts")
     workflow, platform, invocation_id, memory_mb, metadata, counts = _table(
         document["measurements"], _HEAD_FIELDS, "the measurement table"
     )
+    heads = (list(map(name, workflow)), list(map(name, platform)), invocation_id,
+             list(map(int, memory_mb)), list(map(dict, metadata)))
     # Each head owns the next ``records`` rows of the function table; the
     # counts must be non-negative and cover the table exactly.
     ends = list(accumulate(counts))
-    if (ends[-1] if ends else 0) != len(records) or min(counts, default=0) < 0:
+    if (ends[-1] if ends else 0) != len(start) or min(counts, default=0) < 0:
         raise ValueError("measurement record counts disagree with the function table")
-    measurements = [
-        WorkflowMeasurement(name(w), name(p), str(i), records[a:b], int(mb), dict(meta))
+    # RuntimeBreakdown.from_measurement over the columns: min() and max()
+    # keep the first extreme, as its loop does.  Every slice is taken, so a
+    # non-integer count fails here as it would slicing the records.
+    summary = BenchmarkSummary(benchmark=result.benchmark, platform=result.platform)
+    for a, b in zip([0, *ends], ends):
+        starts, finishes = start[a:b], end[a:b]
+        if starts:
+            runtime = max(finishes) - min(starts)
+            critical_path = phase_critical_path(phase[a:b], map(sub, finishes, starts))
+            summary.runtimes.append(runtime)
+            summary.critical_paths.append(critical_path)
+            summary.overheads.append(max(0.0, runtime - critical_path))
+            summary.invocations += 1
+    if start:
+        summary.cold_start_fraction = sum(map(bool, cold_start)) / len(start)
+    (o_platform, o_workflow, o_invocation_id, transitions, orchestrator_time_s,
+     activity_count, started_at, finished_at) = _table(
+        document["orchestration"], _ORCHESTRATION_FIELDS, "the orchestration table"
+    )
+    orchestration = (
+        list(map(name, o_platform)), list(map(name, o_workflow)), o_invocation_id,
+        list(map(int, transitions)), _floats(orchestrator_time_s),
+        list(map(int, activity_count)), _floats(started_at), _floats(finished_at),
+    )
+    result.build_on_first_read({
+        "measurements": (_build_measurements, (
+            function, phase, start, end, request_id, container_id, cold_start, ends, *heads,
+        )),
+        "orchestration_stats": (_build_orchestration, orchestration),
+        "scaling_profile": (_build_profile, tuple(_table(
+            document["scaling_profile"], _PROFILE_FIELDS, "the scaling-profile table"
+        ))),
+    })
+    return summary
+
+
+def _floats(column: Union[list, array]) -> array:
+    """A float column as float64s: a JSON array goes through ``float``."""
+    return column if isinstance(column, array) else array("d", map(float, column))
+
+
+def _build_measurements(
+    function: List[str], phase: List[str], start: array, end: array,
+    request_id: list, container_id: list, cold_start: list, ends: List[int],
+    workflow: List[str], platform: List[str], invocation_id: list,
+    memory_mb: List[int], metadata: List[dict],
+) -> List[WorkflowMeasurement]:
+    records = list(map(
+        FunctionMeasurement, function, phase, start, end,
+        map(str, request_id), map(str, container_id), map(bool, cold_start),
+    ))
+    return [
+        WorkflowMeasurement(w, p, str(i), records[a:b], mb, meta)
         for w, p, i, mb, meta, a, b in zip(
             workflow, platform, invocation_id, memory_mb, metadata, [0, *ends], ends
         )
     ]
-    orchestration = list(map(OrchestrationStats, *map(
-        map, (name, name, str, int, float, int, float, float),
-        _table(document["orchestration"], _ORCHESTRATION_FIELDS, "the orchestration table"),
-    )))
-    times, containers = _table(
-        document["scaling_profile"], _PROFILE_FIELDS, "the scaling-profile table"
-    )
-    profile = [{"time": t, "containers": c} for t, c in zip(times, containers)]
-    return measurements, orchestration, profile
 
 
-def _assemble(
-    document: Dict[str, object],
-    measurements: List[WorkflowMeasurement],
-    orchestration: List[OrchestrationStats],
-    scaling_profile: list,
-) -> ExperimentResult:
+def _build_orchestration(*columns: Sequence[Any]) -> List[OrchestrationStats]:
+    platform, workflow, invocation_id, *numbers = columns
+    return list(map(OrchestrationStats, platform, workflow, map(str, invocation_id), *numbers))
+
+
+def _build_profile(times: Sequence[Any], containers: Sequence[Any]) -> List[Dict[str, Any]]:
+    return [{"time": t, "containers": c} for t, c in zip(times, containers)]
+
+
+def _assemble(document: Dict[str, object], read_lists: _ListReader) -> ExperimentResult:
     """The one decode tail both layouts share: config, derived data, cost."""
     config_doc = dict(document["config"])  # type: ignore[arg-type]
     memory_mb = config_doc.get("memory_mb")
@@ -406,12 +461,9 @@ def _assemble(
         benchmark=str(document["benchmark"]),
         platform=str(document["platform"]),
         config=config,
-        measurements=measurements,
-        orchestration_stats=orchestration,
         containers_created=int(document.get("containers_created", 0)),
-        scaling_profile=scaling_profile,
     )
-    result.summary = summarize(result.benchmark, result.platform, result.measurements)
+    result.summary = read_lists(document, result)
     # A document whose runtimes have no finite summary row is malformed.
     # Runtimes are never negative (no record ends before it starts), so a
     # finite sum bounds their mean and their spread; a non-finite runtime

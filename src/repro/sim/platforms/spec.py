@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass, fields, is_dataclass, replace
 from functools import lru_cache
@@ -193,6 +194,11 @@ class Override:
     def __post_init__(self) -> None:
         if self.scale and (isinstance(self.value, bool) or not isinstance(self.value, (int, float))):
             raise ValueError(f"multiplicative override {self.path!r} needs a numeric factor")
+        if self.scale and not 0 <= self.value < math.inf:
+            raise ValueError(
+                f"multiplicative override {self.path!r} needs a finite, non-negative "
+                f"factor, not {self.value!r}"
+            )
         if isinstance(self.value, str) and not _STRING_VALUE_RE.match(self.value):
             raise ValueError(
                 f"override value {self.value!r} for {self.path!r} contains characters "

@@ -10,16 +10,10 @@ from hypothesis import strategies as st
 from repro.analysis import artifacts, tables
 from repro.analysis.stats import coefficient_of_variation
 from repro.benchmarks import get_benchmark
-from repro.faas import (
-    CampaignResult,
-    CampaignSpec,
-    GridRun,
-    WorkloadSpec,
-    merge_run,
-    run_benchmark,
-    run_campaign,
-    run_grid_worker,
-)
+from repro.faas.campaign import CampaignResult, CampaignSpec, run_campaign
+from repro.faas.experiment import run_benchmark
+from repro.faas.grid import GridRun, merge_run, run_grid_worker
+from repro.faas.workload import WorkloadSpec
 from repro.sim.platforms.spec import PlatformSpec, register_scenario
 
 QUICK = artifacts.ArtifactConfig(quick=True)

@@ -10,7 +10,7 @@ from repro.benchmarks.registry import (
     PAPER_MEMORY_MB,
     benchmark_names,
 )
-from repro.faas import Deployment
+from repro.faas.deployment import Deployment
 from repro.sim.platforms import Platform, resolve_platform
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.faas import Deployment
+from repro.faas.deployment import Deployment
 from repro.sim.platforms import Platform, resolve_platform
 
 

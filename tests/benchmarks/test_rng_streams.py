@@ -13,7 +13,8 @@ import numpy as np
 from repro.benchmarks.ml import _make_dataset, _train_forest
 from repro.benchmarks.video_analysis import _synthesize_frame
 from repro.benchmarks import get_benchmark
-from repro.faas import WorkloadSpec, run_benchmark
+from repro.faas.experiment import run_benchmark
+from repro.faas.workload import WorkloadSpec
 from repro.faas.results import result_to_dict
 from repro.sim.rng import RandomStreams, derive_stream_seed, named_stream
 

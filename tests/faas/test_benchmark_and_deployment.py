@@ -4,7 +4,8 @@ import pytest
 
 from repro.benchmarks import get_benchmark
 from repro.core.definition import WorkflowDefinition
-from repro.faas import Deployment, WorkflowBenchmark
+from repro.faas.benchmark import WorkflowBenchmark
+from repro.faas.deployment import Deployment
 from repro.sim.invocation import FunctionSpec
 from repro.sim.platforms import Platform, resolve_platform
 

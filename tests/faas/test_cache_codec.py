@@ -19,10 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.benchmarks import ALL_BENCHMARKS
-from repro.faas import CampaignSpec, WorkloadSpec, probe_cache, run_campaign
 from repro.faas.campaign import (
-    CACHE_VERSION, _cache_path, execute_job_inline, iter_cached_cells,
+    CampaignSpec, probe_cache, run_campaign, CACHE_VERSION, _cache_path, execute_job_inline,
+    iter_cached_cells,
 )
+from repro.faas.workload import WorkloadSpec
 from repro.faas.results import (
     DECODE_ERRORS, result_from_columns, result_from_dict, result_to_columns,
     result_to_dict,

@@ -7,20 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas import (
-    CampaignError,
-    CampaignSpec,
-    ExperimentConfig,
-    ExperimentRunner,
-    WorkloadSpec,
-    derive_job_seed,
-    result_from_dict,
-    result_to_dict,
-    run_benchmark,
-    run_campaign,
+from repro.faas.campaign import CampaignError, CampaignSpec, derive_job_seed, run_campaign
+from repro.faas.experiment import ExperimentConfig, ExperimentRunner, run_benchmark
+from repro.faas.results import (
+    result_from_dict, result_to_dict, result_from_columns, result_to_columns,
 )
+from repro.faas.workload import WorkloadSpec
 from repro.benchmarks import get_benchmark
-from repro.faas.results import result_from_columns, result_to_columns
 from repro.sim.platforms import PlatformSpec, load_scenarios
 
 
@@ -903,7 +896,7 @@ class TestPlatformSpecSweep:
             import multiprocessing as mp
             mp.set_start_method("spawn", force=True)
             from repro.sim.platforms import aws_profile, register_era, register_platform
-            from repro.faas import CampaignSpec, run_campaign
+            from repro.faas.campaign import CampaignSpec, run_campaign
             register_platform("edge-spawn-test", lambda: aws_profile(region="edge-1"))
             register_era("2026")
             spec = CampaignSpec(

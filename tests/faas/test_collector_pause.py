@@ -16,11 +16,12 @@ from dataclasses import replace
 import pytest
 
 from repro.benchmarks.registry import ALL_BENCHMARKS
-from repro.faas import CampaignSpec, GridRun, MemoryBackend, merge_run, run_grid_worker
-from repro.faas import grid as grid_module
+from repro.faas.backends import MemoryBackend
 from repro.faas.campaign import (
-    collector_paused, drive_cells, execute_job_inline, run_campaign, run_cells,
+    CampaignSpec, collector_paused, drive_cells, execute_job_inline, run_campaign, run_cells,
 )
+from repro.faas.grid import GridRun, merge_run, run_grid_worker
+from repro.faas import grid as grid_module
 from repro.faas.results import result_from_columns, result_from_dict, result_to_columns
 
 SPEC = CampaignSpec(

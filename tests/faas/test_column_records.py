@@ -13,9 +13,11 @@ import json
 import pytest
 
 from repro.benchmarks.registry import ALL_BENCHMARKS
-from repro.faas import CampaignSpec, GridRun, merge_run, run_campaign, run_grid_worker
+from repro.faas.campaign import (
+    CampaignSpec, run_campaign, _ENTRY_LAYOUT, _cache_path, execute_job_inline,
+)
+from repro.faas.grid import GridRun, merge_run, run_grid_worker
 from repro.faas import campaign as campaign_module
-from repro.faas.campaign import _ENTRY_LAYOUT, _cache_path, execute_job_inline
 from repro.faas.results import (
     encode_document, record_line, result_from_columns, result_to_columns,
 )

@@ -6,19 +6,13 @@ import json
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.faas import (
-    Deployment,
-    ExperimentConfig,
-    ExperimentRunner,
-    TriggerConfig,
-    BurstTrigger,
-    WarmTrigger,
-    WorkloadSpec,
-    compare_platforms,
-    run_benchmark,
-    split_warm_cold,
-    summarize,
+from repro.faas.deployment import Deployment
+from repro.faas.experiment import (
+    ExperimentConfig, ExperimentRunner, compare_platforms, run_benchmark,
 )
+from repro.faas.metrics import split_warm_cold, summarize
+from repro.faas.trigger import TriggerConfig, BurstTrigger, WarmTrigger
+from repro.faas.workload import WorkloadSpec
 from repro.faas.results import (
     load_measurements,
     result_from_dict,

@@ -10,25 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas import (
-    CampaignSpec,
-    FileBackend,
-    GridRun,
-    LeaseQueue,
-    MemoryBackend,
-    ResultLog,
-    grid_status,
-    merge_run,
-    parse_shard,
-    plan_shards,
-    run_campaign,
-    run_grid_worker,
+from repro.faas.backends import FileBackend, MemoryBackend
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.grid import (
+    GridRun, LeaseQueue, grid_status, merge_run, parse_shard, plan_shards, run_grid_worker,
     shard_of,
 )
+from repro.faas.results import ResultLog, encode_document, record_line, result_from_columns
 from repro.faas import campaign, grid
-from repro.faas.results import (
-    encode_document, record_line, result_from_columns,
-)
 from repro.observability import MetricsRegistry, use_registry
 
 
@@ -117,7 +106,8 @@ class TestShardPlanner:
         spec = tiny_spec()
         local = [shard_of(job.fingerprint(), 3) for job in spec.expand()]
         script = (
-            "from repro.faas import CampaignSpec, shard_of\n"
+            "from repro.faas.campaign import CampaignSpec\n"
+            "from repro.faas.grid import shard_of\n"
             "spec = CampaignSpec(benchmarks=('function_chain',),"
             " platforms=('aws', 'azure'), seeds=(0, 1), burst_size=2)\n"
             "print([shard_of(job.fingerprint(), 3) for job in spec.expand()])\n"
@@ -964,7 +954,7 @@ class TestMergeProperties:
 
 class TestPartialMergeStream:
     def test_stream_ends_when_the_run_settles(self, tmp_path):
-        from repro.faas import iter_partial_merges
+        from repro.faas.grid import iter_partial_merges
 
         spec = tiny_spec()
         run = GridRun.create(spec, tmp_path / "run")
@@ -978,7 +968,9 @@ class TestPartialMergeStream:
     def test_stream_ends_despite_permanently_failed_cells(self, tmp_path):
         """--watch must not spin forever on a run with dead cells: once every
         cell is merged or permanently failed, the stream stops."""
-        from repro.faas import CampaignJob, WorkloadSpec, iter_partial_merges
+        from repro.faas.campaign import CampaignJob
+        from repro.faas.grid import iter_partial_merges
+        from repro.faas.workload import WorkloadSpec
 
         spec = tiny_spec()
         bad = CampaignJob(
@@ -998,7 +990,7 @@ class TestPartialMergeStream:
         assert len(campaign.cells) == 4
 
     def test_max_polls_bounds_an_unfinished_run(self, tmp_path):
-        from repro.faas import iter_partial_merges
+        from repro.faas.grid import iter_partial_merges
 
         run = GridRun.create(tiny_spec(), tmp_path / "run")  # nothing executed
         snapshots = list(iter_partial_merges(run, interval_s=0.01, max_polls=3))

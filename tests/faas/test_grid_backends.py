@@ -17,19 +17,10 @@ import threading
 import pytest
 
 from repro.analysis.artifacts import cell_priorities, plan_artifacts
-from repro.faas import (
-    CampaignSpec,
-    FileBackend,
-    GridBackend,
-    GridRun,
-    MemoryBackend,
-    autoscale_hint,
-    create_backend,
-    grid_status,
-    merge_run,
-    plan_shards,
-    run_campaign,
-    run_grid_worker,
+from repro.faas.backends import FileBackend, GridBackend, MemoryBackend, create_backend
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.grid import (
+    GridRun, autoscale_hint, grid_status, merge_run, plan_shards, run_grid_worker,
 )
 from repro.faas.results import encode_document
 from repro.observability import MetricsRegistry, use_registry

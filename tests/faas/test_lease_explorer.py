@@ -41,16 +41,10 @@ from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.faas import (
-    CampaignSpec,
-    FileBackend,
-    GridRun,
-    MemoryBackend,
-    campaign,
-    merge_run,
-    run_grid_worker,
-)
-from repro.faas.campaign import CellFailure
+from repro.faas import campaign
+from repro.faas.backends import FileBackend, MemoryBackend
+from repro.faas.campaign import CampaignSpec, CellFailure
+from repro.faas.grid import GridRun, merge_run, run_grid_worker
 from repro.faas.results import encode_document
 
 TTL = 10.0

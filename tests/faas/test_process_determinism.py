@@ -22,7 +22,7 @@ import multiprocessing
 import sys
 
 from repro.benchmarks import genome
-from repro.faas import CampaignSpec, run_campaign
+from repro.faas.campaign import CampaignSpec, run_campaign
 
 if __name__ == "__main__":
     multiprocessing.set_start_method(sys.argv[1], force=True)

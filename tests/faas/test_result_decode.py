@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.faas import CampaignSpec, WorkloadSpec
-from repro.faas.campaign import execute_job_inline
+from repro.faas.campaign import CampaignSpec, execute_job_inline
+from repro.faas.workload import WorkloadSpec
 from repro.faas.results import (
     DECODE_ERRORS, result_from_columns, result_from_dict, result_to_columns,
 )
@@ -92,9 +92,12 @@ def _replaced(document, path, value):
 
 def _decodes_or_fails_cleanly(decode, document):
     try:
-        decode(document)
+        result = decode(document)
     except DECODE_ERRORS:
-        pass
+        return
+    # A decoded result's record lists build on first read, which never raises.
+    for name in ("measurements", "orchestration_stats", "scaling_profile"):
+        getattr(result, name)
 
 
 _json_values = st.recursive(

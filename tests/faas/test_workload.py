@@ -11,24 +11,17 @@ import pickle
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.faas import (
-    BurstTrigger,
-    CampaignSpec,
-    Deployment,
-    ExperimentConfig,
-    ExperimentRunner,
-    TriggerConfig,
-    WarmTrigger,
-    WorkloadExecutor,
-    WorkloadSpec,
-    derive_platform_seed,
-    invocation_id_base,
-    open_loop_summary,
-    result_from_dict,
-    result_to_dict,
-    run_benchmark,
-    run_campaign,
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.deployment import Deployment
+from repro.faas.experiment import (
+    ExperimentConfig, ExperimentRunner, derive_platform_seed, run_benchmark,
 )
+from repro.faas.metrics import open_loop_summary
+from repro.faas.results import result_from_dict, result_to_dict
+from repro.faas.trigger import (
+    BurstTrigger, TriggerConfig, WarmTrigger, WorkloadExecutor, invocation_id_base,
+)
+from repro.faas.workload import WorkloadSpec
 from repro.sim.platforms import Platform, resolve_platform
 from repro.sim.rng import RandomStreams
 
@@ -573,7 +566,7 @@ class TestWorkloadCampaigns:
             clone = pickle.loads(pickle.dumps(job))
             assert clone == job
             document = json.loads(json.dumps(job.to_dict()))
-            from repro.faas import CampaignJob
+            from repro.faas.campaign import CampaignJob
             assert CampaignJob.from_dict(document) == job
 
     def test_poisson_campaign_deterministic_across_worker_counts(self):

@@ -10,7 +10,9 @@ import pytest
 from repro.analysis import figures
 from repro.analysis.artifacts import ArtifactConfig, execute_plan, get_artifact, plan_artifacts
 from repro.benchmarks import get_benchmark
-from repro.faas import WorkloadSpec, run_benchmark, split_warm_cold
+from repro.faas.experiment import run_benchmark
+from repro.faas.metrics import split_warm_cold
+from repro.faas.workload import WorkloadSpec
 
 BURST = 10
 SEED = 11

@@ -1,6 +1,6 @@
 """R006 positive fixture: internal call sites feeding CampaignSpec's deprecated pair."""
 
-from repro.faas import CampaignSpec
+from repro.faas.campaign import CampaignSpec
 
 
 def legacy_campaign():

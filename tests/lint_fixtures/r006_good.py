@@ -1,6 +1,7 @@
 """R006 negative fixture: the workload-sweep call style."""
 
-from repro.faas import CampaignSpec, WorkloadSpec
+from repro.faas.campaign import CampaignSpec
+from repro.faas.workload import WorkloadSpec
 
 
 def modern_campaign():

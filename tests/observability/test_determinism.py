@@ -12,15 +12,10 @@ from contextlib import contextmanager
 import pytest
 
 from repro.benchmarks import get_benchmark
-from repro.faas import (
-    CampaignSpec,
-    GridRun,
-    WorkloadSpec,
-    merge_run,
-    run_benchmark,
-    run_campaign,
-    run_grid_worker,
-)
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.experiment import run_benchmark
+from repro.faas.grid import GridRun, merge_run, run_grid_worker
+from repro.faas.workload import WorkloadSpec
 from repro.observability import (
     MetricsRegistry,
     iter_events,

@@ -8,14 +8,8 @@ import json
 
 import pytest
 
-from repro.faas import (
-    CampaignSpec,
-    GridRun,
-    LeaseQueue,
-    run_campaign,
-    run_grid_worker,
-    shard_of,
-)
+from repro.faas.campaign import CampaignSpec, run_campaign
+from repro.faas.grid import GridRun, LeaseQueue, run_grid_worker, shard_of
 from repro.observability import (
     CONTENT_TYPE,
     MetricsRegistry,

@@ -140,13 +140,16 @@ def platform_specs(draw):
     )
     overrides = []
     for path in paths:
+        # A scale factor must be finite and non-negative; a value need not be.
+        scale = draw(st.booleans())
+        low = 0 if scale else None
         value = draw(
             st.one_of(
-                st.floats(allow_nan=False, allow_infinity=False, width=64),
-                st.integers(min_value=-10**9, max_value=10**9),
+                st.floats(min_value=low, allow_nan=False, allow_infinity=False, width=64),
+                st.integers(min_value=0 if scale else -10**9, max_value=10**9),
             )
         )
-        overrides.append(Override(path=path, value=value, scale=draw(st.booleans())))
+        overrides.append(Override(path=path, value=value, scale=scale))
     return PlatformSpec(base=base, era=era, overrides=tuple(overrides))
 
 
@@ -200,6 +203,17 @@ class TestResolution:
             PlatformSpec(
                 base="aws", overrides=(Override("region", 2.0, scale=True),)
             ).resolve()
+
+    @pytest.mark.parametrize("factor", ["-1", "-0.5", "nan", "inf", "-inf", "1e400"])
+    def test_negative_or_non_finite_scale_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="finite, non-negative factor"):
+            PlatformSpec.parse(f"aws:cold_start=x{factor}")
+        with pytest.raises(ValueError, match="cold_start_median_s"):
+            Override("scaling.cold_start_median_s", float(factor), scale=True)
+
+    def test_zero_scale_factor_allowed(self):
+        profile = PlatformSpec.parse("aws:cold_start=x0").resolve()
+        assert profile.scaling.cold_start_median_s == 0.0
 
     def test_type_mismatch_rejected(self):
         with pytest.raises(ValueError, match="region"):

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.faas import CampaignSpec, GridRun, LeaseQueue
+from repro.faas.campaign import CampaignSpec
+from repro.faas.grid import GridRun, LeaseQueue
 
 
 class TestParser:
@@ -394,6 +395,13 @@ class TestPlatformSpecCli:
         assert "unknown era" in capsys.readouterr().err
         assert main(["campaign", "--benchmarks", "ml", "--platforms", "aws@1999"]) == 2
         assert "unknown era" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("factor", ["x-1", "xnan", "xinf"])
+    def test_bad_scale_factor_exits_2(self, capsys, factor):
+        argv = ["run", "function_chain", "--platform", f"aws:cold_start={factor}",
+                "--workload", "burst:burst_size=2"]
+        assert main(argv) == 2
+        assert "finite, non-negative factor" in capsys.readouterr().err
 
     def test_run_with_conflicting_eras_reports_error(self, capsys):
         assert main([

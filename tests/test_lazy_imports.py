@@ -145,7 +145,8 @@ def test_planning_and_running_a_cell_do_not_import_the_wfdnet_model():
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory) -> str:
     """A one-cell file-backend grid run, executed to completion."""
-    from repro.faas import CampaignSpec, GridRun, run_grid_worker
+    from repro.faas.campaign import CampaignSpec
+    from repro.faas.grid import GridRun, run_grid_worker
 
     run_dir = tmp_path_factory.mktemp("grid") / "run"
     spec = CampaignSpec(benchmarks=("function_chain",), platforms=("aws",), seeds=(0,),
